@@ -1,0 +1,10 @@
+#!/usr/bin/env bash
+# Builds the benchmark from source and runs one workload:
+#   bash perfbench/run.sh --workload <name> --seed <n> --seconds <s> --trace <0|1>
+# Run from the repository root. Build output goes to stderr; the last
+# line of stdout is the JSON result.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}"
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml >&2
+exec "$CARGO_TARGET_DIR/release/perfbench" "$@"
