@@ -1,10 +1,14 @@
 #!/bin/sh
-# Offline CI gate — the same checks .github/workflows/ci.yml runs.
-# The workspace has zero external dependencies, so everything here works
-# with no network access (see README "Building offline").
+# Offline CI gate — the one CI script: .github/workflows/ci.yml runs it
+# and uploads the artifacts it leaves behind. The workspace has zero
+# external dependencies, so everything here works with no network access
+# (see README "Building offline").
 set -eu
 
 cd "$(dirname "$0")"
+
+# No registry deps: fail loudly if a network fetch ever sneaks in.
+export CARGO_NET_OFFLINE=true
 
 echo "==> cargo fmt --check"
 cargo fmt --check

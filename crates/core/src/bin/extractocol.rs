@@ -24,120 +24,74 @@
 //! ```
 
 use extractocol_core::slicing::SliceOptions;
-use extractocol_core::{EventLog, Extractocol, Level, Options, SinkFormat, TraceCollector};
+use extractocol_core::{Extractocol, Options, TraceCollector};
+use extractocol_obs::cli::{
+    self, Command, Exit, Flag, JOBS, LOG_LEVEL, LOG_OUT, METRICS_OUT, TRACE_OUT,
+};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: extractocol <app.jimple> [--regex] [--scope <prefix>] \
-         [--json] [--no-async] [--no-augment] [--hops <n>] [--depth <n>] \
-         [--jobs <n>] [--lints] [--no-pointsto] [--targeted] \
-         [--summary-cache-path <file>] [--no-incremental] \
-         [--trace-out <file>] [--trace-summary] [--flame-out <file>] \
-         [--metrics-out <file>] [--log-out <file>] [--log-level <level>]"
-    );
-    ExitCode::from(2)
-}
+static CLI: Command = Command {
+    name: "extractocol",
+    operands: "<app.jimple>",
+    flags: &[
+        Flag::switch("--regex"),
+        Flag::value("--scope", "<prefix>"),
+        Flag::switch("--json"),
+        Flag::switch("--no-async"),
+        Flag::switch("--no-augment"),
+        Flag::parsed::<usize>("--hops", "<n>"),
+        Flag::parsed::<usize>("--depth", "<n>"),
+        JOBS,
+        Flag::switch("--lints"),
+        Flag::switch("--no-pointsto"),
+        Flag::switch("--targeted"),
+        Flag::value("--summary-cache-path", "<file>"),
+        Flag::switch("--no-incremental"),
+        TRACE_OUT,
+        Flag::switch("--trace-summary"),
+        Flag::value("--flame-out", "<file>"),
+        METRICS_OUT,
+        LOG_OUT,
+        LOG_LEVEL,
+    ],
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path: Option<String> = None;
-    let mut regex_only = false;
-    let mut json_out = false;
-    let mut show_lints = false;
-    let mut trace_out: Option<String> = None;
-    let mut flame_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut log_out: Option<String> = None;
-    let mut log_level = Level::Info;
-    let mut trace_summary = false;
-    let mut opts = Options::default();
-    let mut slice = SliceOptions::default();
+    cli::run("extractocol", run)
+}
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--regex" => regex_only = true,
-            "--json" => json_out = true,
-            "--lints" => show_lints = true,
-            "--trace-summary" => trace_summary = true,
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => return usage(),
-            },
-            "--flame-out" => match it.next() {
-                Some(p) => flame_out = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--log-out" => match it.next() {
-                Some(p) => log_out = Some(p),
-                None => return usage(),
-            },
-            "--log-level" => match it.next().and_then(|l| Level::parse(&l)) {
-                Some(l) => log_level = l,
-                None => return usage(),
-            },
-            "--no-pointsto" => opts.pointsto = false,
-            "--pointsto" => opts.pointsto = true,
-            "--targeted" => opts.targeted = true,
-            "--no-incremental" => opts.incremental = false,
-            "--summary-cache-path" => match it.next() {
-                Some(p) => opts.summary_cache_path = Some(p.into()),
-                None => return usage(),
-            },
-            "--no-async" => slice.async_heuristic = false,
-            "--no-augment" => slice.augmentation = false,
-            "--scope" => match it.next() {
-                Some(p) => opts.scope_prefix = Some(p),
-                None => return usage(),
-            },
-            "--hops" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => slice.async_hops = n,
-                None => return usage(),
-            },
-            "--depth" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => slice.max_field_depth = n,
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => opts.jobs = n,
-                None => return usage(),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            _ => return usage(),
-        }
-    }
-    let Some(path) = path else { return usage() };
-    opts.slice = slice;
+fn run() -> Result<(), Exit> {
+    let args = CLI.parse(std::env::args().skip(1))?;
+    let path = &args.operands[0];
+    let trace_out = args.value(TRACE_OUT.name);
+    let flame_out = args.value("--flame-out");
+    let trace_summary = args.has("--trace-summary");
+    let slice = SliceOptions::default();
+    let opts = Options {
+        slice: SliceOptions {
+            async_heuristic: !args.has("--no-async"),
+            augmentation: !args.has("--no-augment"),
+            async_hops: args.get("--hops").unwrap_or(slice.async_hops),
+            max_field_depth: args.get("--depth").unwrap_or(slice.max_field_depth),
+        },
+        scope_prefix: args.value("--scope").map(Into::into),
+        jobs: args.get(JOBS.name).unwrap_or(0),
+        pointsto: !args.has("--no-pointsto"),
+        targeted: args.has("--targeted"),
+        incremental: !args.has("--no-incremental"),
+        summary_cache_path: args.value("--summary-cache-path").map(Into::into),
+        ..Options::default()
+    };
 
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("extractocol: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let apk = match extractocol_ir::parser::parse_apk(&src) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("extractocol: {path}: parse error at {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let src = cli::read_input(path)?;
+    let apk = extractocol_ir::parser::parse_apk(&src)
+        .map_err(|e| format!("{path}: parse error at {e}"))?;
     let errs = extractocol_ir::validate::validate_apk(&apk);
     if !errs.is_empty() {
         for e in errs.iter().take(5) {
             eprintln!("extractocol: {path}: invalid IR: {e}");
         }
-        return ExitCode::FAILURE;
+        return Err(Exit::Code(ExitCode::FAILURE));
     }
 
     // Tracing is off-by-default: the disabled collector costs one branch
@@ -148,34 +102,14 @@ fn main() -> ExitCode {
         TraceCollector::disabled()
     };
     let mut analyzer = Extractocol::with_options(opts);
-    let events = if let Some(out) = &log_out {
-        let events = EventLog::enabled(log_level);
-        match std::fs::File::create(out) {
-            Ok(file) => events.set_sink(Box::new(file), SinkFormat::Text),
-            Err(e) => {
-                eprintln!("extractocol: cannot create {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        events
-    } else {
-        EventLog::disabled()
-    };
-    analyzer.set_event_log(events);
+    analyzer.set_event_log(cli::event_log(&args)?);
     let report = analyzer.analyze_traced(&apk, &trace);
     let spans = trace.drain();
-    if let Some(out) = &trace_out {
-        let json = extractocol_obs::chrome_trace_json(&spans);
-        if let Err(e) = std::fs::write(out, json) {
-            eprintln!("extractocol: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(out) = trace_out {
+        cli::write_output(out, extractocol_obs::chrome_trace_json(&spans))?;
     }
-    if let Some(out) = &flame_out {
-        if let Err(e) = std::fs::write(out, extractocol_obs::collapsed_stacks(&spans)) {
-            eprintln!("extractocol: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(out) = flame_out {
+        cli::write_output(out, extractocol_obs::collapsed_stacks(&spans))?;
     }
     if trace_summary {
         // Enough rows that every pipeline phase stays visible for a
@@ -186,22 +120,18 @@ fn main() -> ExitCode {
             println!("({} span(s) dropped at the collector capacity)", trace.dropped());
         }
     }
-    if let Some(out) = &metrics_out {
-        let text = report.metrics.export_registry().render();
-        if let Err(e) = std::fs::write(out, text) {
-            eprintln!("extractocol: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(out) = args.value(METRICS_OUT.name) {
+        cli::write_output(out, report.metrics.export_registry().render())?;
     }
-    if show_lints {
+    if args.has("--lints") {
         print!("{}", report.metrics.lints.to_text());
         if report.metrics.lints.lints.is_empty() {
             println!("no lints");
         }
     }
-    if json_out {
+    if args.has("--json") {
         println!("{}", report.to_json().to_json());
-    } else if regex_only {
+    } else if args.has("--regex") {
         for t in &report.transactions {
             println!("{} {}", t.method, t.uri_regex);
         }
@@ -238,5 +168,5 @@ fn main() -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

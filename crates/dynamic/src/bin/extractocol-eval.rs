@@ -23,20 +23,35 @@
 //! `--timings` prints the `PhaseTimings` table — including the
 //! conformance slot, so the total matches the end-to-end run.
 
-use extractocol_core::{EventLog, Level, SinkFormat, TraceCollector};
+use extractocol_core::{Level, TraceCollector};
 use extractocol_dynamic::conformance::{conformance_check_with, mutation_self_test, EvalConfig};
+use extractocol_obs::cli::{
+    self, Command, Exit, Flag, JOBS, LOG_LEVEL, LOG_OUT, METRICS_OUT, TRACE_OUT,
+};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: extractocol-eval (--conformance | --conformance-mutate) \
-         [--app <name>] [--jobs <n>] [--seed <n>] [--sites <n>] [--timings] \
-         [--targeted] [--summary-cache-dir <dir>] [--no-incremental] \
-         [--report-out <file>] [--trace-out <file>] [--trace-summary] \
-         [--metrics-out <file>] [--log-out <file>] [--log-level <level>]"
-    );
-    ExitCode::from(2)
-}
+static CLI: Command = Command {
+    name: "extractocol-eval",
+    operands: "",
+    flags: &[
+        Flag::switch("--conformance"),
+        Flag::switch("--conformance-mutate"),
+        Flag::value("--app", "<name>"),
+        JOBS,
+        Flag::parsed::<u64>("--seed", "<n>"),
+        Flag::parsed::<usize>("--sites", "<n>"),
+        Flag::switch("--timings"),
+        Flag::switch("--targeted"),
+        Flag::value("--summary-cache-dir", "<dir>"),
+        Flag::switch("--no-incremental"),
+        Flag::value("--report-out", "<file>"),
+        TRACE_OUT,
+        Flag::switch("--trace-summary"),
+        METRICS_OUT,
+        LOG_OUT,
+        LOG_LEVEL,
+    ],
+};
 
 /// A per-app `.exsm` filename inside the cache dir: the app name with
 /// anything outside `[A-Za-z0-9._-]` mapped to `_`.
@@ -49,109 +64,34 @@ fn cache_file(dir: &str, app: &str) -> std::path::PathBuf {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut conformance = false;
-    let mut mutate = false;
-    let mut app_filter: Option<String> = None;
-    let mut jobs = 1usize;
-    let mut seed = 0xE7_AC_0C_01u64;
-    let mut sites = 2usize;
-    let mut timings = false;
-    let mut trace_summary = false;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut log_out: Option<String> = None;
-    let mut log_level = Level::Info;
-    let mut report_out: Option<String> = None;
-    let mut targeted = false;
-    let mut incremental = true;
-    let mut cache_dir: Option<String> = None;
+    cli::run("extractocol-eval", run)
+}
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--conformance" => conformance = true,
-            "--conformance-mutate" => mutate = true,
-            "--timings" => timings = true,
-            "--targeted" => targeted = true,
-            "--no-incremental" => incremental = false,
-            "--summary-cache-dir" => match it.next() {
-                Some(d) => cache_dir = Some(d),
-                None => return usage(),
-            },
-            "--report-out" => match it.next() {
-                Some(p) => report_out = Some(p),
-                None => return usage(),
-            },
-            "--trace-summary" => trace_summary = true,
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--log-out" => match it.next() {
-                Some(p) => log_out = Some(p),
-                None => return usage(),
-            },
-            "--log-level" => match it.next().and_then(|l| Level::parse(&l)) {
-                Some(l) => log_level = l,
-                None => return usage(),
-            },
-            "--app" => match it.next() {
-                Some(n) => app_filter = Some(n),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => seed = n,
-                None => return usage(),
-            },
-            "--sites" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => sites = n,
-                None => return usage(),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            _ => return usage(),
-        }
+fn run() -> Result<(), Exit> {
+    let args = CLI.parse(std::env::args().skip(1))?;
+    let conformance = args.has("--conformance");
+    if conformance == args.has("--conformance-mutate") {
+        return Err(CLI.misuse());
     }
-    if conformance == mutate {
-        return usage();
-    }
+    let jobs = args.get(JOBS.name).unwrap_or(1);
+    let targeted = args.has("--targeted");
+    let trace_out = args.value(TRACE_OUT.name);
+    let trace_summary = args.has("--trace-summary");
+    let report_out = args.value("--report-out");
+    let cache_dir = args.value("--summary-cache-dir");
 
     let mut apps = extractocol_corpus::all_apps();
-    if let Some(name) = &app_filter {
-        apps.retain(|a| &a.truth.name == name);
+    if let Some(name) = args.value("--app") {
+        apps.retain(|a| a.truth.name == name);
         if apps.is_empty() {
-            eprintln!("extractocol-eval: no corpus app named {name:?}");
-            return ExitCode::FAILURE;
+            return Err(format!("no corpus app named {name:?}").into());
         }
     }
 
     // Driver-level structured events: one record per app plus run
     // start/finish milestones (the per-phase pipeline events live behind
     // `extractocol --log-out`; the eval driver reports outcomes).
-    let events = if let Some(out) = &log_out {
-        let log = EventLog::enabled(log_level);
-        match std::fs::File::create(out) {
-            Ok(file) => log.set_sink(Box::new(file), SinkFormat::Text),
-            Err(e) => {
-                eprintln!("extractocol-eval: cannot create {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        log
-    } else {
-        EventLog::disabled()
-    };
+    let events = cli::event_log(&args)?;
 
     if conformance {
         let trace = if trace_out.is_some() || trace_summary {
@@ -165,11 +105,8 @@ fn main() -> ExitCode {
             .field("jobs", jobs as u64)
             .field("targeted", targeted)
             .emit();
-        if let Some(dir) = &cache_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("extractocol-eval: cannot create {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
+        if let Some(dir) = cache_dir {
+            std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
         }
         let mut dirty = 0usize;
         let mut report_lines = String::new();
@@ -177,8 +114,8 @@ fn main() -> ExitCode {
             let cfg = EvalConfig {
                 jobs,
                 targeted,
-                incremental,
-                summary_cache_path: cache_dir.as_ref().map(|d| cache_file(d, &app.truth.name)),
+                incremental: !args.has("--no-incremental"),
+                summary_cache_path: cache_dir.map(|d| cache_file(d, &app.truth.name)),
             };
             let (report, conf) = conformance_check_with(app, &cfg, &trace);
             print!("{}", conf.to_text());
@@ -208,18 +145,14 @@ fn main() -> ExitCode {
                     report.to_json().to_json()
                 ));
             }
-            if timings {
+            if args.has("--timings") {
                 println!("{} phase timings:", app.truth.name);
                 print!("{}", report.metrics.phases.to_text());
             }
-            if let Some(path) = &metrics_out {
+            if let Some(path) = args.value(METRICS_OUT.name) {
                 // One exposition file per run; last app wins per-app
                 // instruments, aggregate files belong to serve's batch path.
-                let text = report.metrics.export_registry().render();
-                if let Err(e) = std::fs::write(path, text) {
-                    eprintln!("extractocol-eval: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                cli::write_output(path, report.metrics.export_registry().render())?;
             }
             if !conf.is_clean() {
                 dirty += 1;
@@ -233,19 +166,12 @@ fn main() -> ExitCode {
                 .field("duration_us", report.stats.duration.as_micros() as u64)
                 .emit();
         }
-        if let Some(path) = &report_out {
-            if let Err(e) = std::fs::write(path, report_lines) {
-                eprintln!("extractocol-eval: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        if let Some(path) = report_out {
+            cli::write_output(path, report_lines)?;
         }
         let spans = trace.drain();
-        if let Some(path) = &trace_out {
-            let json = extractocol_obs::chrome_trace_json(&spans);
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("extractocol-eval: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        if let Some(path) = trace_out {
+            cli::write_output(path, extractocol_obs::chrome_trace_json(&spans))?;
             println!("wrote {} span(s) to {path} ({} dropped)", spans.len(), trace.dropped());
         }
         if trace_summary {
@@ -257,25 +183,21 @@ fn main() -> ExitCode {
             .field("dirty", dirty as u64)
             .emit();
         if dirty > 0 {
-            eprintln!("extractocol-eval: {dirty} app(s) with conformance diagnostics");
-            return ExitCode::FAILURE;
+            return Err(format!("{dirty} app(s) with conformance diagnostics").into());
         }
         println!("conformance: all {} app(s) clean", apps.len());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    let summary = mutation_self_test(&apps, seed, sites, jobs);
+    let seed = args.get("--seed").unwrap_or(0xE7_AC_0C_01);
+    let summary = mutation_self_test(&apps, seed, args.get("--sites").unwrap_or(2), jobs);
     print!("{}", summary.to_text());
     if summary.total() == 0 {
-        eprintln!("extractocol-eval: no mutation sites found");
-        return ExitCode::FAILURE;
+        return Err(Exit::Fail("no mutation sites found".into()));
     }
     if summary.rate() < 0.9 {
-        eprintln!(
-            "extractocol-eval: detection rate {:.1}% below the 90% gate",
-            100.0 * summary.rate()
-        );
-        return ExitCode::FAILURE;
+        let rate = 100.0 * summary.rate();
+        return Err(format!("detection rate {rate:.1}% below the 90% gate").into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -1,92 +1,49 @@
 //! The `.exsm` persistent summary-cache archive.
 //!
-//! Same header discipline as the serving side's `.exsv` signature-index
-//! archives: an 8-byte magic, a little-endian version, a reserved word, the
-//! payload length, and a FNV-1a 64 checksum over the payload — 32 bytes of
-//! header, then the payload. Loads are hostile-input safe: the checksum is
-//! verified before any decoding, every read is bounds-checked, counts are
-//! validated against the remaining payload, strings must be UTF-8, and all
-//! cross-references (summary → method-table indices) are range-checked.
+//! The archive is an [`extractocol_ir::container`] with magic
+//! `"EXSUMMRY"` — the same 32-byte header and load discipline as the
+//! serving side's `.exsv` signature index: checksum verified before any
+//! decoding, every read bounds-checked, counts checked against the
+//! remaining payload, strings UTF-8. On top of that, every cross-reference
+//! (summary → method-table index) is range-checked after decoding.
 //! Anything off refuses the whole archive with a typed error — a cache
 //! must never be able to corrupt an analysis, only to miss.
+//!
+//! The payload has no section tags or lengths; three parts follow each
+//! other directly:
+//!
+//! ```text
+//!   epoch      app (str), max_field_depth (u32), flags (u8: bit 0 pointsto,
+//!              bit 1 targeted)
+//!   methods    count (u64), then per method: key (str), content hash (u64),
+//!              validity fingerprint (u64)
+//!   summaries  count (u64), then per summary: direction (u8), method (u32),
+//!              stmt (u32), fact (path), nodes, marks, extern marks, exits
+//!              and statics, each a count (u64) followed by its elements
+//!   path       root tag (u8: 0 = local u32, 1 = static str), then a field
+//!              count (u64) and the field names (str)
+//! ```
 //!
 //! Methods are named by stable key (`class#name#arity#occurrence`), never
 //! by positional [`MethodId`], so archives survive renumbering; each
 //! method record carries the content hash and validity fingerprint its
 //! summaries were computed under, which the loader compares against the
 //! current program before admitting an entry.
+//!
+//! [`MethodId`]: extractocol_ir::MethodId
 
 use extractocol_analysis::{AccessPath, Direction, Root};
-use extractocol_ir::hash::fnv1a64;
+use extractocol_ir::container::{self, Cursor, Writer};
 use extractocol_ir::Local;
-use std::fmt;
 use std::path::Path;
+
+pub use extractocol_ir::container::ArchiveError;
 
 /// `.exsm` file magic.
 pub const ARCHIVE_MAGIC: &[u8; 8] = b"EXSUMMRY";
 /// Current format version. Bumped on any layout change; readers refuse
 /// other versions rather than guessing.
 pub const ARCHIVE_VERSION: u32 = 1;
-
-/// Everything that can go wrong reading (or writing) a `.exsm` archive.
-#[derive(Debug)]
-pub enum SummaryArchiveError {
-    /// Filesystem error, with context.
-    Io(String),
-    /// The first 8 bytes are not [`ARCHIVE_MAGIC`].
-    BadMagic,
-    /// The archive declares a version this build cannot read.
-    VersionMismatch { found: u32, supported: u32 },
-    /// The input ended before a read completed.
-    Truncated { context: &'static str, needed: usize, available: usize },
-    /// The payload checksum does not match the header.
-    ChecksumMismatch { expected: u64, actual: u64 },
-    /// A declared element count cannot fit in the remaining payload.
-    BadCount { context: &'static str, count: u64 },
-    /// An enum tag byte is out of range.
-    BadTag { context: &'static str, tag: u8 },
-    /// A string is not valid UTF-8.
-    BadUtf8 { context: &'static str },
-    /// Bytes remain after the last section.
-    TrailingBytes { count: usize },
-    /// Structurally well-formed but semantically inconsistent (e.g. a
-    /// summary referencing a method index past the method table).
-    Invalid(String),
-}
-
-impl fmt::Display for SummaryArchiveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SummaryArchiveError::Io(msg) => write!(f, "io error: {msg}"),
-            SummaryArchiveError::BadMagic => write!(f, "not a .exsm summary archive (bad magic)"),
-            SummaryArchiveError::VersionMismatch { found, supported } => {
-                write!(f, "archive version {found} unsupported (reader supports {supported})")
-            }
-            SummaryArchiveError::Truncated { context, needed, available } => {
-                write!(f, "truncated reading {context}: needed {needed}, had {available}")
-            }
-            SummaryArchiveError::ChecksumMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "payload checksum mismatch: header {expected:#018x}, actual {actual:#018x}"
-                )
-            }
-            SummaryArchiveError::BadCount { context, count } => {
-                write!(f, "{context} count {count} exceeds remaining payload")
-            }
-            SummaryArchiveError::BadTag { context, tag } => {
-                write!(f, "bad {context} tag {tag:#04x}")
-            }
-            SummaryArchiveError::BadUtf8 { context } => write!(f, "{context} is not UTF-8"),
-            SummaryArchiveError::TrailingBytes { count } => {
-                write!(f, "{count} trailing byte(s) after the last section")
-            }
-            SummaryArchiveError::Invalid(msg) => write!(f, "invalid archive: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SummaryArchiveError {}
 
 /// The cache's compatibility epoch: analyses under different options (or
 /// of a different app) produce incomparable summaries, so a mismatch
@@ -153,222 +110,106 @@ pub struct SummaryArchive {
 // Writing
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_path(out: &mut Vec<u8>, p: &AccessPath) {
+fn put_path(w: &mut Writer, p: &AccessPath) {
     match &p.root {
         Root::Local(l) => {
-            out.push(0);
-            put_u32(out, l.0);
+            w.u8(0);
+            w.u32(l.0);
         }
         Root::Static(k) => {
-            out.push(1);
-            put_str(out, k);
+            w.u8(1);
+            w.str(k);
         }
     }
-    put_u64(out, p.fields.len() as u64);
+    w.count(p.fields.len());
     for f in &p.fields {
-        put_str(out, f);
+        w.str(f);
     }
 }
 
-/// Serializes an archive: 32-byte header (magic, version, reserved,
-/// payload length, FNV-1a checksum), then the payload.
+/// Serializes an archive (see the module doc for the payload layout).
 pub fn write_archive(a: &SummaryArchive) -> Vec<u8> {
-    let mut payload = Vec::new();
-    // META
-    put_str(&mut payload, &a.epoch.app);
-    put_u32(&mut payload, a.epoch.max_field_depth);
-    payload.push((a.epoch.pointsto as u8) | ((a.epoch.targeted as u8) << 1));
-    // METH
-    put_u64(&mut payload, a.methods.len() as u64);
+    let mut w = Writer::new(ARCHIVE_MAGIC, ARCHIVE_VERSION);
+    w.str(&a.epoch.app);
+    w.u32(a.epoch.max_field_depth);
+    w.u8((a.epoch.pointsto as u8) | ((a.epoch.targeted as u8) << 1));
+    w.count(a.methods.len());
     for m in &a.methods {
-        put_str(&mut payload, &m.key);
-        put_u64(&mut payload, m.content);
-        put_u64(&mut payload, m.validity);
+        w.str(&m.key);
+        w.u64(m.content);
+        w.u64(m.validity);
     }
-    // SUMS
-    put_u64(&mut payload, a.summaries.len() as u64);
+    w.count(a.summaries.len());
     for s in &a.summaries {
-        payload.push(match s.direction {
+        w.u8(match s.direction {
             Direction::Forward => 0,
             Direction::Backward => 1,
         });
-        put_u32(&mut payload, s.method);
-        put_u32(&mut payload, s.stmt);
-        put_path(&mut payload, &s.fact);
-        put_u64(&mut payload, s.nodes.len() as u64);
+        w.u32(s.method);
+        w.u32(s.stmt);
+        put_path(&mut w, &s.fact);
+        w.count(s.nodes.len());
         for (st, p) in &s.nodes {
-            put_u32(&mut payload, *st);
-            put_path(&mut payload, p);
+            w.u32(*st);
+            put_path(&mut w, p);
         }
-        put_u64(&mut payload, s.marks.len() as u64);
+        w.count(s.marks.len());
         for st in &s.marks {
-            put_u32(&mut payload, *st);
+            w.u32(*st);
         }
-        put_u64(&mut payload, s.extern_marks.len() as u64);
+        w.count(s.extern_marks.len());
         for (m, st) in &s.extern_marks {
-            put_u32(&mut payload, *m);
-            put_u32(&mut payload, *st);
+            w.u32(*m);
+            w.u32(*st);
         }
-        put_u64(&mut payload, s.exits.len() as u64);
+        w.count(s.exits.len());
         for (m, st, p) in &s.exits {
-            put_u32(&mut payload, *m);
-            put_u32(&mut payload, *st);
-            put_path(&mut payload, p);
+            w.u32(*m);
+            w.u32(*st);
+            put_path(&mut w, p);
         }
-        put_u64(&mut payload, s.statics.len() as u64);
+        w.count(s.statics.len());
         for k in &s.statics {
-            put_str(&mut payload, k);
+            w.str(k);
         }
     }
-
-    let mut out = Vec::with_capacity(32 + payload.len());
-    out.extend_from_slice(ARCHIVE_MAGIC);
-    put_u32(&mut out, ARCHIVE_VERSION);
-    put_u32(&mut out, 0); // reserved
-    put_u64(&mut out, payload.len() as u64);
-    put_u64(&mut out, fnv1a64(&payload));
-    out.extend_from_slice(&payload);
-    out
+    w.finish()
 }
 
 /// Writes an archive to disk.
-pub fn write_file(path: &Path, a: &SummaryArchive) -> Result<(), SummaryArchiveError> {
-    std::fs::write(path, write_archive(a))
-        .map_err(|e| SummaryArchiveError::Io(format!("{}: {e}", path.display())))
+pub fn write_file(path: &Path, a: &SummaryArchive) -> Result<(), ArchiveError> {
+    container::write_file(path, &write_archive(a))
 }
 
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked payload cursor.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], SummaryArchiveError> {
-        let available = self.buf.len() - self.pos;
-        if n > available {
-            return Err(SummaryArchiveError::Truncated { context, needed: n, available });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+fn get_path(cur: &mut Cursor<'_>, context: &'static str) -> Result<AccessPath, ArchiveError> {
+    let root = match cur.u8(context)? {
+        0 => Root::Local(Local(cur.u32(context)?)),
+        1 => Root::Static(cur.str(context)?),
+        tag => return Err(ArchiveError::BadTag { context, tag }),
+    };
+    let n = cur.count(1, context)?;
+    let mut fields = Vec::with_capacity(n);
+    for _ in 0..n {
+        fields.push(cur.str(context)?);
     }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, SummaryArchiveError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, SummaryArchiveError> {
-        Ok(u32::from_le_bytes(self.take(4, context)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, SummaryArchiveError> {
-        Ok(u64::from_le_bytes(self.take(8, context)?.try_into().unwrap()))
-    }
-
-    /// A declared element count, sanity-checked against the remaining
-    /// payload (`min_size` bytes per element) so hostile counts cannot
-    /// trigger huge allocations.
-    fn count(
-        &mut self,
-        min_size: usize,
-        context: &'static str,
-    ) -> Result<usize, SummaryArchiveError> {
-        let n = self.u64(context)?;
-        let available = (self.buf.len() - self.pos) as u64;
-        if n.checked_mul(min_size as u64).is_none_or(|bytes| bytes > available) {
-            return Err(SummaryArchiveError::BadCount { context, count: n });
-        }
-        Ok(n as usize)
-    }
-
-    fn str(&mut self, context: &'static str) -> Result<String, SummaryArchiveError> {
-        let n = self.count(1, context)?;
-        let bytes = self.take(n, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SummaryArchiveError::BadUtf8 { context })
-    }
-
-    fn path(&mut self, context: &'static str) -> Result<AccessPath, SummaryArchiveError> {
-        let root = match self.u8(context)? {
-            0 => Root::Local(Local(self.u32(context)?)),
-            1 => Root::Static(self.str(context)?),
-            tag => return Err(SummaryArchiveError::BadTag { context, tag }),
-        };
-        let n = self.count(1, context)?;
-        let mut fields = Vec::with_capacity(n);
-        for _ in 0..n {
-            fields.push(self.str(context)?);
-        }
-        Ok(AccessPath { root, fields })
-    }
+    Ok(AccessPath { root, fields })
 }
 
 /// Decodes a `.exsm` archive. Checksum first, then bounds-checked decode;
 /// any inconsistency refuses the whole archive.
-pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, SummaryArchiveError> {
-    if bytes.len() < 32 {
-        return Err(SummaryArchiveError::Truncated {
-            context: "header",
-            needed: 32,
-            available: bytes.len(),
-        });
-    }
-    if &bytes[0..8] != ARCHIVE_MAGIC {
-        return Err(SummaryArchiveError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != ARCHIVE_VERSION {
-        return Err(SummaryArchiveError::VersionMismatch {
-            found: version,
-            supported: ARCHIVE_VERSION,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let expected = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    let available = bytes.len() - 32;
-    if payload_len > available as u64 {
-        return Err(SummaryArchiveError::Truncated {
-            context: "payload",
-            needed: payload_len.min(usize::MAX as u64) as usize,
-            available,
-        });
-    }
-    if (available as u64) > payload_len {
-        return Err(SummaryArchiveError::TrailingBytes { count: available - payload_len as usize });
-    }
-    let payload = &bytes[32..];
-    let actual = fnv1a64(payload);
-    if actual != expected {
-        return Err(SummaryArchiveError::ChecksumMismatch { expected, actual });
-    }
-
-    let mut cur = Cur { buf: payload, pos: 0 };
-    // META
+pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, ArchiveError> {
+    let mut cur = container::open(bytes, ARCHIVE_MAGIC, ARCHIVE_VERSION)?;
     let app = cur.str("epoch app name")?;
     let max_field_depth = cur.u32("epoch max_field_depth")?;
     let flags = cur.u8("epoch flags")?;
     if flags & !0b11 != 0 {
-        return Err(SummaryArchiveError::BadTag { context: "epoch flags", tag: flags });
+        return Err(ArchiveError::BadTag { context: "epoch flags", tag: flags });
     }
     let epoch = Epoch { app, max_field_depth, pointsto: flags & 1 != 0, targeted: flags & 2 != 0 };
-    // METH
     let n_methods = cur.count(24, "method table")?;
     let mut methods = Vec::with_capacity(n_methods);
     for _ in 0..n_methods {
@@ -377,23 +218,22 @@ pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, SummaryArchiveError>
         let validity = cur.u64("method validity")?;
         methods.push(MethodRecord { key, content, validity });
     }
-    // SUMS
     let n_sums = cur.count(17, "summary table")?;
     let mut summaries = Vec::with_capacity(n_sums);
     for _ in 0..n_sums {
         let direction = match cur.u8("summary direction")? {
             0 => Direction::Forward,
             1 => Direction::Backward,
-            tag => return Err(SummaryArchiveError::BadTag { context: "summary direction", tag }),
+            tag => return Err(ArchiveError::BadTag { context: "summary direction", tag }),
         };
         let method = cur.u32("summary method")?;
         let stmt = cur.u32("summary stmt")?;
-        let fact = cur.path("summary fact")?;
+        let fact = get_path(&mut cur, "summary fact")?;
         let n = cur.count(5, "summary nodes")?;
         let mut nodes = Vec::with_capacity(n);
         for _ in 0..n {
             let st = cur.u32("node stmt")?;
-            nodes.push((st, cur.path("node fact")?));
+            nodes.push((st, get_path(&mut cur, "node fact")?));
         }
         let n = cur.count(4, "summary marks")?;
         let mut marks = Vec::with_capacity(n);
@@ -411,7 +251,7 @@ pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, SummaryArchiveError>
         for _ in 0..n {
             let m = cur.u32("exit method")?;
             let st = cur.u32("exit stmt")?;
-            exits.push((m, st, cur.path("exit fact")?));
+            exits.push((m, st, get_path(&mut cur, "exit fact")?));
         }
         let n = cur.count(1, "summary statics")?;
         let mut statics = Vec::with_capacity(n);
@@ -426,7 +266,7 @@ pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, SummaryArchiveError>
             .chain(exits.iter().map(|&(m, _, _)| m));
         for r in refs {
             if r >= bound {
-                return Err(SummaryArchiveError::Invalid(format!(
+                return Err(ArchiveError::Invalid(format!(
                     "summary references method index {r} but the table has {bound} entries"
                 )));
             }
@@ -443,17 +283,13 @@ pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, SummaryArchiveError>
             statics,
         });
     }
-    if cur.pos != payload.len() {
-        return Err(SummaryArchiveError::TrailingBytes { count: payload.len() - cur.pos });
-    }
+    cur.finish()?;
     Ok(SummaryArchive { epoch, methods, summaries })
 }
 
-/// Reads an archive from disk. A missing file is an [`SummaryArchiveError::Io`].
-pub fn read_file(path: &Path) -> Result<SummaryArchive, SummaryArchiveError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| SummaryArchiveError::Io(format!("{}: {e}", path.display())))?;
-    read_archive(&bytes)
+/// Reads an archive from disk. A missing file is an [`ArchiveError::Io`].
+pub fn read_file(path: &Path) -> Result<SummaryArchive, ArchiveError> {
+    read_archive(&container::read_file(path)?)
 }
 
 #[cfg(test)]
@@ -501,29 +337,29 @@ mod tests {
         // Bad magic.
         let mut b = bytes.clone();
         b[0] ^= 0xFF;
-        assert!(matches!(read_archive(&b), Err(SummaryArchiveError::BadMagic)));
+        assert!(matches!(read_archive(&b), Err(ArchiveError::BadMagic)));
         // Version skew.
         let mut b = bytes.clone();
         b[8] = 99;
         assert!(matches!(
             read_archive(&b),
-            Err(SummaryArchiveError::VersionMismatch { found: 99, supported: 1 })
+            Err(ArchiveError::VersionMismatch { found: 99, supported: 1 })
         ));
         // Payload corruption → checksum.
         let mut b = bytes.clone();
         let last = b.len() - 1;
         b[last] ^= 0x01;
-        assert!(matches!(read_archive(&b), Err(SummaryArchiveError::ChecksumMismatch { .. })));
+        assert!(matches!(read_archive(&b), Err(ArchiveError::ChecksumMismatch { .. })));
         // Truncation.
         assert!(matches!(
             read_archive(&bytes[..bytes.len() - 3]),
-            Err(SummaryArchiveError::Truncated { .. })
+            Err(ArchiveError::Truncated { .. })
         ));
-        assert!(matches!(read_archive(&bytes[..16]), Err(SummaryArchiveError::Truncated { .. })));
+        assert!(matches!(read_archive(&bytes[..16]), Err(ArchiveError::Truncated { .. })));
         // Appended garbage → trailing bytes, not "truncated".
         let mut b = bytes.clone();
         b.extend_from_slice(b"garbage");
-        assert!(matches!(read_archive(&b), Err(SummaryArchiveError::TrailingBytes { count: 7 })));
+        assert!(matches!(read_archive(&b), Err(ArchiveError::TrailingBytes { count: 7 })));
     }
 
     #[test]
@@ -531,6 +367,6 @@ mod tests {
         let mut a = sample();
         a.summaries[0].method = 9; // past the 2-entry table
         let bytes = write_archive(&a); // checksum is valid — semantic check must catch it
-        assert!(matches!(read_archive(&bytes), Err(SummaryArchiveError::Invalid(_))));
+        assert!(matches!(read_archive(&bytes), Err(ArchiveError::Invalid(_))));
     }
 }

@@ -27,7 +27,7 @@ pub mod cone;
 pub mod key;
 pub mod validity;
 
-pub use archive::{Epoch, SummaryArchive, SummaryArchiveError};
+pub use archive::{Epoch, SummaryArchive};
 pub use cone::TargetedStats;
 pub use validity::Fingerprints;
 

@@ -13,68 +13,52 @@
 //! symmetric relative threshold (default 25%). Exits 0 when clean, 1 on
 //! any regression, 2 on usage or parse errors.
 
+use extractocol_obs::cli::{self, Command, Exit, Flag};
 use extractocol_obs::{diff, parse_snapshot, DiffConfig};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: extractocol-obs-diff <baseline> <current> \
-         [--per-run-threshold <0..1>] [--ignore-per-run] [--quiet]"
-    );
-    ExitCode::from(2)
-}
+static CLI: Command = Command {
+    name: "extractocol-obs-diff",
+    operands: "<baseline> <current>",
+    flags: &[
+        Flag::checked("--per-run-threshold", "<0..1>", |v| {
+            v.parse::<f64>().is_ok_and(|t| t.is_finite() && t >= 0.0)
+        }),
+        Flag::switch("--ignore-per-run"),
+        Flag::switch("--quiet"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<String> = Vec::new();
-    let mut cfg = DiffConfig::default();
-    let mut quiet = false;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ignore-per-run" => cfg.ignore_per_run = true,
-            "--quiet" => quiet = true,
-            "--per-run-threshold" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(t) if t.is_finite() && t >= 0.0 => cfg.per_run_threshold = t,
-                _ => return usage(),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            _ => return usage(),
-        }
-    }
-    if paths.len() != 2 {
-        return usage();
-    }
-
-    let mut snaps = Vec::new();
-    for path in &paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("extractocol-obs-diff: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
+    cli::run("extractocol-obs-diff", || {
+        let args = CLI.parse(std::env::args().skip(1))?;
+        let cfg = DiffConfig {
+            per_run_threshold: args
+                .get("--per-run-threshold")
+                .unwrap_or(DiffConfig::default().per_run_threshold),
+            ignore_per_run: args.has("--ignore-per-run"),
         };
-        match parse_snapshot(&text) {
-            Ok(s) => snaps.push(s),
-            Err(e) => {
-                eprintln!("extractocol-obs-diff: {path}: {e}");
-                return ExitCode::from(2);
+        let mut snaps = Vec::new();
+        for path in &args.operands {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {path}: {e}"))
+                .and_then(|text| parse_snapshot(&text).map_err(|e| format!("{path}: {e}")));
+            match text {
+                Ok(s) => snaps.push(s),
+                Err(msg) => {
+                    // Unreadable input is a usage-class error, not a regression.
+                    eprintln!("extractocol-obs-diff: {msg}");
+                    return Err(Exit::Code(ExitCode::from(2)));
+                }
             }
         }
-    }
-    let report = diff(&snaps[0], &snaps[1], &cfg);
-    if !quiet {
-        print!("{}", report.to_text());
-    }
-    if report.is_regression() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+        let report = diff(&snaps[0], &snaps[1], &cfg);
+        if !args.has("--quiet") {
+            print!("{}", report.to_text());
+        }
+        if report.is_regression() {
+            return Err(Exit::Code(ExitCode::FAILURE));
+        }
+        Ok(())
+    })
 }

@@ -27,10 +27,14 @@
 //!   Prometheus-text and `BENCH_*.json` snapshots, compares the
 //!   deterministic family exactly and the per-run family against
 //!   relative thresholds.
+//! * [`cli`] — the flag table every workspace binary parses its command
+//!   line with, including the shared `--trace-out`/`--metrics-out`/
+//!   `--log-out`/`--log-level` flags and the event-log sink setup.
 //!
 //! Everything here is *observational*: nothing feeds back into analysis
 //! results, and nothing enters canonical report serialization.
 
+pub mod cli;
 pub mod diff;
 pub mod export;
 pub mod log;

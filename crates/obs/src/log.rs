@@ -87,6 +87,14 @@ impl Level {
     }
 }
 
+impl std::str::FromStr for Level {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Level, String> {
+        Level::parse(s).ok_or_else(|| format!("unknown level {s:?}"))
+    }
+}
+
 impl fmt::Display for Level {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())

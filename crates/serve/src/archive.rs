@@ -8,22 +8,19 @@
 //!
 //! # Layout (version 1)
 //!
+//! The archive is an [`extractocol_ir::container`] with magic
+//! `"EXSERVIX"`; that module defines the 32-byte header, the
+//! checksum-before-decode discipline and the primitive encodings. The
+//! payload holds two length-prefixed sections, in fixed order:
+//!
 //! ```text
-//! header (32 bytes):
-//!   magic            8 bytes  "EXSERVIX"
-//!   version          u32 LE   (1)
-//!   reserved         u32 LE   (0)
-//!   payload_len      u64 LE   byte length of everything after the header
-//!   payload_checksum u64 LE   FNV-1a 64 over the payload bytes
-//! payload: two length-prefixed sections, in fixed order:
 //!   section = tag (u32 LE) + byte_len (u64 LE) + bytes
 //!     "SIGS" — the flat signature table (id = position)
 //!     "NODE" — the flat trie-node table (index = position)
 //! ```
 //!
-//! All integers are little-endian; strings are `u64` byte length +
-//! UTF-8 bytes; recursive patterns ([`SigPat`], [`JsonSig`], [`XmlSig`])
-//! are tag-byte trees with a hard decode-depth cap.
+//! Recursive patterns ([`SigPat`], [`JsonSig`], [`XmlSig`]) are tag-byte
+//! trees with a hard decode-depth cap.
 //!
 //! # Guarantees
 //!
@@ -47,7 +44,10 @@ use crate::index::{CompiledSig, SignatureIndex, TrieNode};
 use extractocol_core::sigbuild::BodySig;
 use extractocol_core::siglang::{JsonSig, SigPat, TypeHint, XmlSig};
 use extractocol_http::HttpMethod;
-use std::fmt;
+use extractocol_ir::container::{self, Cursor, Writer};
+use std::path::Path;
+
+pub use extractocol_ir::container::ArchiveError;
 
 /// The 8-byte archive magic.
 pub const ARCHIVE_MAGIC: &[u8; 8] = b"EXSERVIX";
@@ -60,129 +60,12 @@ const MAX_PATTERN_DEPTH: usize = 256;
 const SECTION_SIGS: u32 = u32::from_le_bytes(*b"SIGS");
 const SECTION_NODES: u32 = u32::from_le_bytes(*b"NODE");
 
-/// Why an archive was rejected. Every variant is a deterministic verdict
-/// on the input bytes — loading never panics.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArchiveError {
-    /// Filesystem failure on the `_file` entry points.
-    Io(String),
-    /// The first 8 bytes are not [`ARCHIVE_MAGIC`].
-    BadMagic,
-    /// Written by a different format version than this reader supports.
-    VersionMismatch {
-        /// Version found in the header.
-        found: u32,
-        /// Version this reader supports.
-        supported: u32,
-    },
-    /// Input ended before a declared length was satisfied.
-    Truncated {
-        /// What was being decoded.
-        context: &'static str,
-        /// Bytes the decoder needed.
-        needed: usize,
-        /// Bytes actually available.
-        available: usize,
-    },
-    /// Payload bytes do not hash to the header checksum.
-    ChecksumMismatch {
-        /// Checksum stored in the header.
-        expected: u64,
-        /// FNV-1a 64 of the payload actually read.
-        actual: u64,
-    },
-    /// A section tag other than the one required at that position.
-    BadSection {
-        /// Tag found in the stream.
-        found: u32,
-        /// Tag required here.
-        expected: u32,
-    },
-    /// An enum tag byte outside the encodable range.
-    BadTag {
-        /// What was being decoded.
-        context: &'static str,
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// A string field holding invalid UTF-8.
-    BadUtf8 {
-        /// What was being decoded.
-        context: &'static str,
-    },
-    /// A pattern tree nested beyond [`MAX_PATTERN_DEPTH`].
-    TooDeep {
-        /// What was being decoded.
-        context: &'static str,
-    },
-    /// Bytes left over after the last declared section.
-    TrailingBytes {
-        /// How many undeclared bytes remain.
-        count: usize,
-    },
-    /// The decoded flat layout is internally inconsistent.
-    Invalid(String),
-}
-
-impl fmt::Display for ArchiveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArchiveError::Io(e) => write!(f, "io: {e}"),
-            ArchiveError::BadMagic => write!(f, "not a signature-index archive (bad magic)"),
-            ArchiveError::VersionMismatch { found, supported } => {
-                write!(f, "archive version {found} unsupported (reader supports {supported})")
-            }
-            ArchiveError::Truncated { context, needed, available } => {
-                write!(f, "truncated {context}: needed {needed} bytes, {available} available")
-            }
-            ArchiveError::ChecksumMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "payload checksum mismatch: header {expected:#018x}, actual {actual:#018x}"
-                )
-            }
-            ArchiveError::BadSection { found, expected } => {
-                write!(f, "bad section tag {found:#010x} (expected {expected:#010x})")
-            }
-            ArchiveError::BadTag { context, tag } => write!(f, "bad {context} tag {tag:#04x}"),
-            ArchiveError::BadUtf8 { context } => write!(f, "invalid UTF-8 in {context}"),
-            ArchiveError::TooDeep { context } => {
-                write!(f, "{context} nested deeper than {MAX_PATTERN_DEPTH}")
-            }
-            ArchiveError::TrailingBytes { count } => {
-                write!(f, "{count} trailing byte(s) after the last section")
-            }
-            ArchiveError::Invalid(msg) => write!(f, "invalid index layout: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ArchiveError {}
-
-/// FNV-1a 64 over a byte slice — the payload checksum. Re-exported from
-/// the shared [`extractocol_ir::hash`] util so every archive format (and
-/// the incremental engine's method content hashes) uses one implementation.
-pub use extractocol_ir::hash::fnv1a64;
-
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_method(out: &mut Vec<u8>, m: HttpMethod) {
-    out.push(match m {
+fn put_method(w: &mut Writer, m: HttpMethod) {
+    w.u8(match m {
         HttpMethod::Get => 0,
         HttpMethod::Post => 1,
         HttpMethod::Put => 2,
@@ -190,254 +73,176 @@ fn put_method(out: &mut Vec<u8>, m: HttpMethod) {
     });
 }
 
-fn put_sigpat(out: &mut Vec<u8>, p: &SigPat) {
+fn put_sigpat(w: &mut Writer, p: &SigPat) {
     match p {
         SigPat::Const(s) => {
-            out.push(0);
-            put_str(out, s);
+            w.u8(0);
+            w.str(s);
         }
         SigPat::Unknown(h) => {
-            out.push(1);
-            out.push(match h {
+            w.u8(1);
+            w.u8(match h {
                 TypeHint::Num => 0,
                 TypeHint::Bool => 1,
                 TypeHint::Str => 2,
             });
         }
         SigPat::Concat(parts) => {
-            out.push(2);
-            put_u64(out, parts.len() as u64);
+            w.u8(2);
+            w.count(parts.len());
             for part in parts {
-                put_sigpat(out, part);
+                put_sigpat(w, part);
             }
         }
         SigPat::Rep(inner) => {
-            out.push(3);
-            put_sigpat(out, inner);
+            w.u8(3);
+            put_sigpat(w, inner);
         }
         SigPat::Or(arms) => {
-            out.push(4);
-            put_u64(out, arms.len() as u64);
+            w.u8(4);
+            w.count(arms.len());
             for arm in arms {
-                put_sigpat(out, arm);
+                put_sigpat(w, arm);
             }
         }
         SigPat::Json(j) => {
-            out.push(5);
-            put_jsonsig(out, j);
+            w.u8(5);
+            put_jsonsig(w, j);
         }
         SigPat::Xml(x) => {
-            out.push(6);
-            put_xmlsig(out, x);
+            w.u8(6);
+            put_xmlsig(w, x);
         }
     }
 }
 
-fn put_jsonsig(out: &mut Vec<u8>, j: &JsonSig) {
+fn put_jsonsig(w: &mut Writer, j: &JsonSig) {
     match j {
         JsonSig::Object(map) => {
-            out.push(0);
-            put_u64(out, map.len() as u64);
+            w.u8(0);
+            w.count(map.len());
             for (k, v) in map {
-                put_str(out, k);
-                put_jsonsig(out, v);
+                w.str(k);
+                put_jsonsig(w, v);
             }
         }
         JsonSig::Array(elem) => {
-            out.push(1);
-            put_jsonsig(out, elem);
+            w.u8(1);
+            put_jsonsig(w, elem);
         }
         JsonSig::Value(p) => {
-            out.push(2);
-            put_sigpat(out, p);
+            w.u8(2);
+            put_sigpat(w, p);
         }
-        JsonSig::Unknown => out.push(3),
+        JsonSig::Unknown => w.u8(3),
     }
 }
 
-fn put_xmlsig(out: &mut Vec<u8>, x: &XmlSig) {
-    put_str(out, &x.name);
-    put_u64(out, x.attrs.len() as u64);
+fn put_xmlsig(w: &mut Writer, x: &XmlSig) {
+    w.str(&x.name);
+    w.count(x.attrs.len());
     for (k, v) in &x.attrs {
-        put_str(out, k);
-        put_sigpat(out, v);
+        w.str(k);
+        put_sigpat(w, v);
     }
-    put_u64(out, x.children.len() as u64);
+    w.count(x.children.len());
     for c in &x.children {
-        put_xmlsig(out, c);
+        put_xmlsig(w, c);
     }
     match &x.text {
-        None => out.push(0),
+        None => w.u8(0),
         Some(p) => {
-            out.push(1);
-            put_sigpat(out, p);
+            w.u8(1);
+            put_sigpat(w, p);
         }
     }
 }
 
-fn put_bodysig(out: &mut Vec<u8>, b: &BodySig) {
+fn put_bodysig(w: &mut Writer, b: &BodySig) {
     match b {
         BodySig::Form(pairs) => {
-            out.push(0);
-            put_u64(out, pairs.len() as u64);
+            w.u8(0);
+            w.count(pairs.len());
             for (k, v) in pairs {
-                put_sigpat(out, k);
-                put_sigpat(out, v);
+                put_sigpat(w, k);
+                put_sigpat(w, v);
             }
         }
         BodySig::Json(j) => {
-            out.push(1);
-            put_jsonsig(out, j);
+            w.u8(1);
+            put_jsonsig(w, j);
         }
         BodySig::Xml(x) => {
-            out.push(2);
-            put_xmlsig(out, x);
+            w.u8(2);
+            put_xmlsig(w, x);
         }
         BodySig::Text(p) => {
-            out.push(3);
-            put_sigpat(out, p);
+            w.u8(3);
+            put_sigpat(w, p);
         }
     }
 }
 
-fn put_sig(out: &mut Vec<u8>, sig: &CompiledSig) {
-    put_str(out, &sig.app);
-    put_u64(out, sig.txn_id as u64);
-    put_str(out, &sig.dp_class);
-    put_method(out, sig.method);
-    put_sigpat(out, &sig.uri);
+fn put_sig(w: &mut Writer, sig: &CompiledSig) {
+    w.str(&sig.app);
+    w.u64(sig.txn_id as u64);
+    w.str(&sig.dp_class);
+    put_method(w, sig.method);
+    put_sigpat(w, &sig.uri);
     match &sig.body {
-        None => out.push(0),
+        None => w.u8(0),
         Some(b) => {
-            out.push(1);
-            put_bodysig(out, b);
+            w.u8(1);
+            put_bodysig(w, b);
         }
     }
-    put_str(out, &sig.prefix);
+    w.str(&sig.prefix);
 }
 
-fn put_node(out: &mut Vec<u8>, node: &TrieNode) {
-    put_u64(out, node.children.len() as u64);
+fn put_node(w: &mut Writer, node: &TrieNode) {
+    w.count(node.children.len());
     for (label, child) in &node.children {
-        out.push(*label);
-        put_u32(out, *child);
+        w.u8(*label);
+        w.u32(*child);
     }
-    put_u64(out, node.bucket.len() as u64);
+    w.count(node.bucket.len());
     for id in &node.bucket {
-        put_u32(out, *id);
+        w.u32(*id);
     }
 }
 
 /// Serializes a compiled index into archive bytes. Deterministic: the
 /// same index always produces byte-identical output.
 pub fn write_archive(index: &SignatureIndex) -> Vec<u8> {
-    let mut sigs = Vec::new();
-    put_u64(&mut sigs, index.sigs.len() as u64);
-    for sig in &index.sigs {
-        put_sig(&mut sigs, sig);
-    }
-    let mut nodes = Vec::new();
-    put_u64(&mut nodes, index.nodes.len() as u64);
-    for node in &index.nodes {
-        put_node(&mut nodes, node);
-    }
-
-    let mut payload = Vec::with_capacity(sigs.len() + nodes.len() + 48);
-    put_u32(&mut payload, SECTION_SIGS);
-    put_u64(&mut payload, sigs.len() as u64);
-    payload.extend_from_slice(&sigs);
-    put_u32(&mut payload, SECTION_NODES);
-    put_u64(&mut payload, nodes.len() as u64);
-    payload.extend_from_slice(&nodes);
-
-    let mut out = Vec::with_capacity(32 + payload.len());
-    out.extend_from_slice(ARCHIVE_MAGIC);
-    put_u32(&mut out, ARCHIVE_VERSION);
-    put_u32(&mut out, 0); // reserved
-    put_u64(&mut out, payload.len() as u64);
-    put_u64(&mut out, fnv1a64(&payload));
-    out.extend_from_slice(&payload);
-    out
+    let mut w = Writer::new(ARCHIVE_MAGIC, ARCHIVE_VERSION);
+    w.section(SECTION_SIGS, |w| {
+        w.count(index.sigs.len());
+        for sig in &index.sigs {
+            put_sig(w, sig);
+        }
+    });
+    w.section(SECTION_NODES, |w| {
+        w.count(index.nodes.len());
+        for node in &index.nodes {
+            put_node(w, node);
+        }
+    });
+    w.finish()
 }
 
 /// [`write_archive`] to a file.
 pub fn write_archive_file(
     index: &SignatureIndex,
-    path: impl AsRef<std::path::Path>,
+    path: impl AsRef<Path>,
 ) -> Result<(), ArchiveError> {
-    std::fs::write(path.as_ref(), write_archive(index))
-        .map_err(|e| ArchiveError::Io(format!("{}: {e}", path.as_ref().display())))
+    container::write_file(path.as_ref(), &write_archive(index))
 }
 
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked byte cursor with typed errors.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], ArchiveError> {
-        if self.remaining() < n {
-            return Err(ArchiveError::Truncated {
-                context,
-                needed: n,
-                available: self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, ArchiveError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, ArchiveError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, ArchiveError> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// A declared element count. Rejected when it exceeds the bytes left
-    /// (every element costs ≥ 1 byte), so hostile length fields cannot
-    /// drive huge allocations.
-    fn count(&mut self, context: &'static str) -> Result<usize, ArchiveError> {
-        let n = self.u64(context)?;
-        if n > self.remaining() as u64 {
-            return Err(ArchiveError::Truncated {
-                context,
-                needed: n as usize,
-                available: self.remaining(),
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn str(&mut self, context: &'static str) -> Result<String, ArchiveError> {
-        let n = self.count(context)?;
-        let bytes = self.take(n, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ArchiveError::BadUtf8 { context })
-    }
-}
-
-fn get_method(cur: &mut Cur<'_>) -> Result<HttpMethod, ArchiveError> {
+fn get_method(cur: &mut Cursor<'_>) -> Result<HttpMethod, ArchiveError> {
     match cur.u8("method")? {
         0 => Ok(HttpMethod::Get),
         1 => Ok(HttpMethod::Post),
@@ -447,7 +252,7 @@ fn get_method(cur: &mut Cur<'_>) -> Result<HttpMethod, ArchiveError> {
     }
 }
 
-fn get_sigpat(cur: &mut Cur<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
+fn get_sigpat(cur: &mut Cursor<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
     if depth > MAX_PATTERN_DEPTH {
         return Err(ArchiveError::TooDeep { context: "SigPat" });
     }
@@ -460,7 +265,7 @@ fn get_sigpat(cur: &mut Cur<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
             tag => Err(ArchiveError::BadTag { context: "TypeHint", tag }),
         },
         2 => {
-            let n = cur.count("SigPat::Concat")?;
+            let n = cur.count(1, "SigPat::Concat")?;
             let mut parts = Vec::with_capacity(n);
             for _ in 0..n {
                 parts.push(get_sigpat(cur, depth + 1)?);
@@ -469,7 +274,7 @@ fn get_sigpat(cur: &mut Cur<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
         }
         3 => Ok(SigPat::Rep(Box::new(get_sigpat(cur, depth + 1)?))),
         4 => {
-            let n = cur.count("SigPat::Or")?;
+            let n = cur.count(1, "SigPat::Or")?;
             let mut arms = Vec::with_capacity(n);
             for _ in 0..n {
                 arms.push(get_sigpat(cur, depth + 1)?);
@@ -482,13 +287,13 @@ fn get_sigpat(cur: &mut Cur<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
     }
 }
 
-fn get_jsonsig(cur: &mut Cur<'_>, depth: usize) -> Result<JsonSig, ArchiveError> {
+fn get_jsonsig(cur: &mut Cursor<'_>, depth: usize) -> Result<JsonSig, ArchiveError> {
     if depth > MAX_PATTERN_DEPTH {
         return Err(ArchiveError::TooDeep { context: "JsonSig" });
     }
     match cur.u8("JsonSig")? {
         0 => {
-            let n = cur.count("JsonSig::Object")?;
+            let n = cur.count(1, "JsonSig::Object")?;
             let mut map = std::collections::BTreeMap::new();
             for _ in 0..n {
                 let k = cur.str("JsonSig key")?;
@@ -503,18 +308,18 @@ fn get_jsonsig(cur: &mut Cur<'_>, depth: usize) -> Result<JsonSig, ArchiveError>
     }
 }
 
-fn get_xmlsig(cur: &mut Cur<'_>, depth: usize) -> Result<XmlSig, ArchiveError> {
+fn get_xmlsig(cur: &mut Cursor<'_>, depth: usize) -> Result<XmlSig, ArchiveError> {
     if depth > MAX_PATTERN_DEPTH {
         return Err(ArchiveError::TooDeep { context: "XmlSig" });
     }
     let name = cur.str("XmlSig name")?;
-    let n_attrs = cur.count("XmlSig attrs")?;
+    let n_attrs = cur.count(1, "XmlSig attrs")?;
     let mut attrs = Vec::with_capacity(n_attrs);
     for _ in 0..n_attrs {
         let k = cur.str("XmlSig attr key")?;
         attrs.push((k, get_sigpat(cur, depth + 1)?));
     }
-    let n_children = cur.count("XmlSig children")?;
+    let n_children = cur.count(1, "XmlSig children")?;
     let mut children = Vec::with_capacity(n_children);
     for _ in 0..n_children {
         children.push(get_xmlsig(cur, depth + 1)?);
@@ -527,10 +332,10 @@ fn get_xmlsig(cur: &mut Cur<'_>, depth: usize) -> Result<XmlSig, ArchiveError> {
     Ok(XmlSig { name, attrs, children, text })
 }
 
-fn get_bodysig(cur: &mut Cur<'_>) -> Result<BodySig, ArchiveError> {
+fn get_bodysig(cur: &mut Cursor<'_>) -> Result<BodySig, ArchiveError> {
     match cur.u8("BodySig")? {
         0 => {
-            let n = cur.count("BodySig::Form")?;
+            let n = cur.count(1, "BodySig::Form")?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 let k = get_sigpat(cur, 0)?;
@@ -546,7 +351,7 @@ fn get_bodysig(cur: &mut Cur<'_>) -> Result<BodySig, ArchiveError> {
     }
 }
 
-fn get_sig(cur: &mut Cur<'_>) -> Result<CompiledSig, ArchiveError> {
+fn get_sig(cur: &mut Cursor<'_>) -> Result<CompiledSig, ArchiveError> {
     let app = cur.str("sig app")?;
     let txn_id = cur.u64("sig txn_id")? as usize;
     let dp_class = cur.str("sig dp_class")?;
@@ -561,15 +366,15 @@ fn get_sig(cur: &mut Cur<'_>) -> Result<CompiledSig, ArchiveError> {
     Ok(CompiledSig { app, txn_id, dp_class, method, uri, body, prefix })
 }
 
-fn get_node(cur: &mut Cur<'_>) -> Result<TrieNode, ArchiveError> {
-    let n_children = cur.count("node children")?;
+fn get_node(cur: &mut Cursor<'_>) -> Result<TrieNode, ArchiveError> {
+    let n_children = cur.count(1, "node children")?;
     let mut children = Vec::with_capacity(n_children);
     for _ in 0..n_children {
         let label = cur.u8("child label")?;
         let child = cur.u32("child index")?;
         children.push((label, child));
     }
-    let n_bucket = cur.count("node bucket")?;
+    let n_bucket = cur.count(1, "node bucket")?;
     let mut bucket = Vec::with_capacity(n_bucket);
     for _ in 0..n_bucket {
         bucket.push(cur.u32("bucket id")?);
@@ -577,61 +382,25 @@ fn get_node(cur: &mut Cur<'_>) -> Result<TrieNode, ArchiveError> {
     Ok(TrieNode { children, bucket })
 }
 
-fn expect_section<'a>(cur: &mut Cur<'a>, expected: u32) -> Result<Cur<'a>, ArchiveError> {
-    let found = cur.u32("section tag")?;
-    if found != expected {
-        return Err(ArchiveError::BadSection { found, expected });
-    }
-    let len = cur.count("section length")?;
-    Ok(Cur::new(cur.take(len, "section bytes")?))
-}
-
 /// Deserializes and validates archive bytes back into a
 /// [`SignatureIndex`]. Every failure mode is a typed [`ArchiveError`].
 pub fn read_archive(bytes: &[u8]) -> Result<SignatureIndex, ArchiveError> {
-    let mut cur = Cur::new(bytes);
-    let magic = cur.take(8, "magic")?;
-    if magic != ARCHIVE_MAGIC {
-        return Err(ArchiveError::BadMagic);
-    }
-    let version = cur.u32("version")?;
-    if version != ARCHIVE_VERSION {
-        return Err(ArchiveError::VersionMismatch { found: version, supported: ARCHIVE_VERSION });
-    }
-    let _reserved = cur.u32("reserved")?;
-    let payload_len = cur.u64("payload length")? as usize;
-    let expected_sum = cur.u64("payload checksum")?;
-    let payload = cur.take(payload_len, "payload")?;
-    if cur.remaining() > 0 {
-        return Err(ArchiveError::TrailingBytes { count: cur.remaining() });
-    }
-    let actual_sum = fnv1a64(payload);
-    if actual_sum != expected_sum {
-        return Err(ArchiveError::ChecksumMismatch { expected: expected_sum, actual: actual_sum });
-    }
-
-    let mut pcur = Cur::new(payload);
-    let mut sigs_cur = expect_section(&mut pcur, SECTION_SIGS)?;
-    let n_sigs = sigs_cur.count("signature count")?;
+    let mut payload = container::open(bytes, ARCHIVE_MAGIC, ARCHIVE_VERSION)?;
+    let mut sigs_cur = payload.section(SECTION_SIGS)?;
+    let n_sigs = sigs_cur.count(1, "signature count")?;
     let mut sigs = Vec::with_capacity(n_sigs);
     for _ in 0..n_sigs {
         sigs.push(get_sig(&mut sigs_cur)?);
     }
-    if sigs_cur.remaining() > 0 {
-        return Err(ArchiveError::TrailingBytes { count: sigs_cur.remaining() });
-    }
-    let mut nodes_cur = expect_section(&mut pcur, SECTION_NODES)?;
-    let n_nodes = nodes_cur.count("node count")?;
+    sigs_cur.finish()?;
+    let mut nodes_cur = payload.section(SECTION_NODES)?;
+    let n_nodes = nodes_cur.count(1, "node count")?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         nodes.push(get_node(&mut nodes_cur)?);
     }
-    if nodes_cur.remaining() > 0 {
-        return Err(ArchiveError::TrailingBytes { count: nodes_cur.remaining() });
-    }
-    if pcur.remaining() > 0 {
-        return Err(ArchiveError::TrailingBytes { count: pcur.remaining() });
-    }
+    nodes_cur.finish()?;
+    payload.finish()?;
 
     let index = SignatureIndex { sigs, nodes };
     validate_layout(&index)?;
@@ -639,12 +408,8 @@ pub fn read_archive(bytes: &[u8]) -> Result<SignatureIndex, ArchiveError> {
 }
 
 /// [`read_archive`] from a file.
-pub fn read_archive_file(
-    path: impl AsRef<std::path::Path>,
-) -> Result<SignatureIndex, ArchiveError> {
-    let bytes = std::fs::read(path.as_ref())
-        .map_err(|e| ArchiveError::Io(format!("{}: {e}", path.as_ref().display())))?;
-    read_archive(&bytes)
+pub fn read_archive_file(path: impl AsRef<Path>) -> Result<SignatureIndex, ArchiveError> {
+    read_archive(&container::read_file(path.as_ref())?)
 }
 
 /// Structural validation of the decoded flat layouts — the guarantees
@@ -830,18 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_a_typed_error_at_every_cut() {
-        let bytes = write_archive(&small_index());
-        // Any strict prefix must fail with a typed error, never panic.
-        for cut in 0..bytes.len() {
-            match read_archive(&bytes[..cut]) {
-                Err(_) => {}
-                Ok(_) => panic!("truncated archive ({cut}/{} bytes) loaded", bytes.len()),
-            }
-        }
-    }
-
-    #[test]
     fn trailing_bytes_are_rejected() {
         let mut bytes = write_archive(&small_index());
         bytes.push(0x00);
@@ -854,31 +607,6 @@ mod tests {
         let loaded = read_archive(&write_archive(&index)).expect("load");
         assert!(loaded.is_empty());
         assert_eq!(loaded.trie_nodes(), 1);
-    }
-
-    #[test]
-    fn hostile_count_fields_cannot_drive_allocation() {
-        // A declared element count larger than the remaining payload is
-        // rejected before any allocation happens.
-        let index = small_index();
-        let mut bytes = write_archive(&index);
-        // The signature-count u64 sits right after the SIGS section
-        // header (32-byte file header + 4-byte tag + 8-byte length).
-        let count_at = 32 + 4 + 8;
-        bytes[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        match read_archive(&bytes) {
-            // Checksum catches the mutation first unless recomputed.
-            Err(ArchiveError::ChecksumMismatch { .. }) => {}
-            other => panic!("expected typed rejection, got {other:?}"),
-        }
-        // Recompute the checksum so the count field itself is exercised.
-        let payload_start = 32;
-        let sum = fnv1a64(&bytes[payload_start..]);
-        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
-        match read_archive(&bytes) {
-            Err(ArchiveError::Truncated { .. }) => {}
-            other => panic!("expected Truncated, got {other:?}"),
-        }
     }
 
     #[test]

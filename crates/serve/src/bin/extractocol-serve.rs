@@ -39,8 +39,11 @@
 //! when loading the archive is not at least `--min-speedup` (default
 //! 20x) faster than the full rebuild.
 
+use extractocol_core::report::AnalysisReport;
 use extractocol_core::TraceCollector;
-use extractocol_obs::{EventLog, Level, SinkFormat};
+use extractocol_obs::cli::{
+    self, Args, Command, Exit, Flag, JOBS, LOG_LEVEL, LOG_OUT, METRICS_OUT, TRACE_OUT,
+};
 use extractocol_serve::bench as serve_bench;
 use extractocol_serve::{
     classify_batch, classify_batch_observed, Daemon, DaemonConfig, ServeMetrics, SignatureIndex,
@@ -50,78 +53,151 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: extractocol-serve compile (--report <app.jimple> ... | --corpus | --app <name>) \
-         --out <index.exsv> [--jobs <n>]\n       \
-         extractocol-serve classify (--index <index.exsv> | --report <app.jimple> ... | \
-         --corpus | --app <name>) --traffic <file> [--jobs <n>] [--json] \
-         [--metrics-out <file>] [--trace-out <file>]\n       \
-         extractocol-serve daemon --index <index.exsv> (--stdin | --listen <addr>) \
-         [--port-file <file>] [--metrics-out <file>] [--trace-out <file>] \
-         [--log-out <file>] [--log-level trace|debug|info|warn|error]\n       \
-         extractocol-serve send (--addr <host:port> | --port-file <file>) --traffic <file>\n       \
-         extractocol-serve scrape (--addr <host:port> | --port-file <file>) \
-         --verb METRICS|HEALTH|SLOW|STATS [--out <file>]\n       \
-         extractocol-serve bench [--requests <n>] [--jobs <n>] [--iterations <n>] [--out <file>] \
-         [--baseline <file>] [--margin <frac>] [--min-speedup <x>] [--metrics-out <file>]\n       \
-         extractocol-serve attack [--index <index.exsv>] [--seed <n>] [--per-class <n>] \
-         [--jobs <n>] [--out <file>] [--metrics-out <file>] [--json]"
-    );
-    ExitCode::from(2)
-}
+const REPORT: Flag = Flag::value("--report", "<app.jimple>");
+const CORPUS: Flag = Flag::switch("--corpus");
+const APP: Flag = Flag::value("--app", "<name>");
+const INDEX: Flag = Flag::value("--index", "<index.exsv>");
+const TRAFFIC: Flag = Flag::value("--traffic", "<file>").required();
+const ADDR: Flag = Flag::value("--addr", "<host:port>");
+const PORT_FILE: Flag = Flag::value("--port-file", "<file>");
+const OUT: Flag = Flag::value("--out", "<file>");
+
+static COMPILE: Command = Command {
+    name: "extractocol-serve compile",
+    operands: "",
+    flags: &[REPORT, CORPUS, APP, Flag::value("--out", "<index.exsv>").required(), JOBS],
+};
+
+static CLASSIFY: Command = Command {
+    name: "extractocol-serve classify",
+    operands: "",
+    flags: &[
+        INDEX,
+        REPORT,
+        CORPUS,
+        APP,
+        TRAFFIC,
+        JOBS,
+        Flag::switch("--json"),
+        METRICS_OUT,
+        TRACE_OUT,
+    ],
+};
+
+static DAEMON: Command = Command {
+    name: "extractocol-serve daemon",
+    operands: "",
+    flags: &[
+        INDEX.required(),
+        Flag::switch("--stdin"),
+        Flag::value("--listen", "<addr>"),
+        PORT_FILE,
+        METRICS_OUT,
+        TRACE_OUT,
+        LOG_OUT,
+        LOG_LEVEL,
+    ],
+};
+
+static SEND: Command =
+    Command { name: "extractocol-serve send", operands: "", flags: &[ADDR, PORT_FILE, TRAFFIC] };
+
+static SCRAPE: Command = Command {
+    name: "extractocol-serve scrape",
+    operands: "",
+    flags: &[
+        ADDR,
+        PORT_FILE,
+        // Only introspection verbs: scrape must never mutate daemon state.
+        Flag::checked("--verb", "METRICS|HEALTH|SLOW|STATS|PING", |v| {
+            matches!(v, "METRICS" | "HEALTH" | "SLOW" | "STATS" | "PING")
+        })
+        .required(),
+        OUT,
+    ],
+};
+
+static BENCH: Command = Command {
+    name: "extractocol-serve bench",
+    operands: "",
+    flags: &[
+        Flag::parsed::<usize>("--requests", "<n>"),
+        JOBS,
+        Flag::parsed::<usize>("--iterations", "<n>"),
+        OUT,
+        Flag::value("--baseline", "<file>"),
+        Flag::checked("--margin", "<frac>", |v| {
+            v.parse::<f64>().is_ok_and(|f| (0.0..=1.0).contains(&f))
+        }),
+        Flag::parsed::<f64>("--min-speedup", "<x>"),
+        METRICS_OUT,
+    ],
+};
+
+static ATTACK: Command = Command {
+    name: "extractocol-serve attack",
+    operands: "",
+    flags: &[
+        INDEX,
+        Flag::parsed::<u64>("--seed", "<n>"),
+        Flag::parsed::<usize>("--per-class", "<n>"),
+        JOBS,
+        OUT,
+        METRICS_OUT,
+        Flag::switch("--json"),
+    ],
+};
+
+type Run = fn(Args) -> Result<(), Exit>;
+
+static COMMANDS: [(&Command, Run); 7] = [
+    (&COMPILE, cmd_compile),
+    (&CLASSIFY, cmd_classify),
+    (&DAEMON, cmd_daemon),
+    (&SEND, cmd_send),
+    (&SCRAPE, cmd_scrape),
+    (&BENCH, cmd_bench),
+    (&ATTACK, cmd_attack),
+];
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("compile") => cmd_compile(args.collect()),
-        Some("classify") => cmd_classify(args.collect()),
-        Some("daemon") => cmd_daemon(args.collect()),
-        Some("send") => cmd_send(args.collect()),
-        Some("scrape") => cmd_scrape(args.collect()),
-        Some("bench") => cmd_bench(args.collect()),
-        Some("attack") => cmd_attack(args.collect()),
-        Some("--help") | Some("-h") => {
-            usage();
-            ExitCode::SUCCESS
+    cli::run("extractocol-serve", || {
+        let mut argv = std::env::args().skip(1);
+        let sub = argv.next().unwrap_or_default();
+        let name = format!("extractocol-serve {sub}");
+        match COMMANDS.iter().find(|(cmd, _)| cmd.name == name) {
+            Some((cmd, run)) => run(cmd.parse(argv)?),
+            None => {
+                cli::print_usage(&COMMANDS.map(|(cmd, _)| cmd));
+                let help = sub == "--help" || sub == "-h";
+                Err(Exit::Code(if help { ExitCode::SUCCESS } else { ExitCode::from(2) }))
+            }
         }
-        _ => usage(),
-    }
+    })
+}
+
+/// Whether `args` name any analysis source for the index.
+fn has_sources(args: &Args) -> bool {
+    args.has(REPORT.name) || args.has(CORPUS.name) || args.has(APP.name)
 }
 
 /// Builds the report set shared by `compile` and `classify`: explicit
 /// jimple files, the whole corpus, or one corpus app by name.
-fn build_reports(
-    report_paths: &[String],
-    use_corpus: bool,
-    app_filter: Option<&str>,
-    jobs: usize,
-) -> Result<Vec<extractocol_core::report::AnalysisReport>, ExitCode> {
+fn build_reports(args: &Args, jobs: usize) -> Result<Vec<AnalysisReport>, Exit> {
     let mut reports = Vec::new();
-    for path in report_paths {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot read {path}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
-        let apk = match extractocol_ir::parser::parse_apk(&src) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("extractocol-serve: {path}: parse error at {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
+    for path in args.values(REPORT.name) {
+        let src = cli::read_input(path)?;
+        let apk = extractocol_ir::parser::parse_apk(&src)
+            .map_err(|e| format!("{path}: parse error at {e}"))?;
         reports.push(extractocol_dynamic::conformance::analyze_app(&apk, false, jobs));
     }
-    if use_corpus || app_filter.is_some() {
+    let app_filter = args.value(APP.name);
+    if args.has(CORPUS.name) || app_filter.is_some() {
         let mut apps = extractocol_corpus::all_apps();
         if let Some(name) = app_filter {
             apps.retain(|a| a.truth.name == name);
             if apps.is_empty() {
-                eprintln!("extractocol-serve: no corpus app named {name:?}");
-                return Err(ExitCode::FAILURE);
+                return Err(format!("no corpus app named {name:?}").into());
             }
         }
         for app in &apps {
@@ -137,163 +213,71 @@ fn build_reports(
 
 /// Loads a compiled index from a persistent archive, with the typed
 /// error rendered for humans.
-fn load_index(path: &str) -> Result<SignatureIndex, ExitCode> {
-    match extractocol_serve::read_archive_file(path) {
-        Ok(index) => Ok(index),
-        Err(e) => {
-            eprintln!("extractocol-serve: cannot load index {path}: {e}");
-            Err(ExitCode::FAILURE)
-        }
+fn load_index(path: &str) -> Result<SignatureIndex, Exit> {
+    extractocol_serve::read_archive_file(path)
+        .map_err(|e| format!("cannot load index {path}: {e}").into())
+}
+
+/// The daemon address from `--addr`, or `127.0.0.1:<port>` with the port
+/// read from `--port-file`.
+fn daemon_addr(args: &Args, cmd: &Command) -> Result<String, Exit> {
+    match (args.value(ADDR.name), args.value(PORT_FILE.name)) {
+        (Some(addr), _) => Ok(addr.to_string()),
+        (None, Some(path)) => Ok(format!("127.0.0.1:{}", cli::read_input(path)?.trim())),
+        (None, None) => Err(cmd.misuse()),
     }
 }
 
 /// `extractocol-serve compile`: build the index once, write the archive.
-fn cmd_compile(args: Vec<String>) -> ExitCode {
-    let mut report_paths: Vec<String> = Vec::new();
-    let mut use_corpus = false;
-    let mut app_filter: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut jobs = 0usize;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--report" => match it.next() {
-                Some(p) => report_paths.push(p),
-                None => return usage(),
-            },
-            "--corpus" => use_corpus = true,
-            "--app" => match it.next() {
-                Some(n) => app_filter = Some(n),
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
+fn cmd_compile(args: Args) -> Result<(), Exit> {
+    if !has_sources(&args) {
+        return Err(COMPILE.misuse());
     }
-    let Some(out_path) = out else { return usage() };
-    if report_paths.is_empty() && !use_corpus && app_filter.is_none() {
-        return usage();
-    }
-
+    let out_path = args.value("--out").expect("required flag");
     let t = Instant::now();
-    let reports = match build_reports(&report_paths, use_corpus, app_filter.as_deref(), jobs) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let index = SignatureIndex::compile(&reports);
+    let index = SignatureIndex::compile(&build_reports(&args, args.get(JOBS.name).unwrap_or(0))?);
     let compile_secs = t.elapsed().as_secs_f64();
-    if let Err(e) = extractocol_serve::write_archive_file(&index, &out_path) {
-        eprintln!("extractocol-serve: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let bytes = std::fs::metadata(&out_path).map(|m| m.len()).unwrap_or(0);
+    extractocol_serve::write_archive_file(&index, out_path)
+        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    let bytes = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
     println!(
         "compiled {} signatures ({} trie nodes) in {compile_secs:.2}s -> {out_path} ({bytes} bytes)",
         index.len(),
         index.trie_nodes(),
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `extractocol-serve daemon`: serve the line protocol until SHUTDOWN.
-fn cmd_daemon(args: Vec<String>) -> ExitCode {
-    let mut index_path: Option<String> = None;
-    let mut listen: Option<String> = None;
-    let mut use_stdin = false;
-    let mut port_file: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut log_out: Option<String> = None;
-    let mut log_level = Level::Info;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--index" => match it.next() {
-                Some(p) => index_path = Some(p),
-                None => return usage(),
-            },
-            "--listen" => match it.next() {
-                Some(addr) => listen = Some(addr),
-                None => return usage(),
-            },
-            "--stdin" => use_stdin = true,
-            "--port-file" => match it.next() {
-                Some(p) => port_file = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => return usage(),
-            },
-            "--log-out" => match it.next() {
-                Some(p) => log_out = Some(p),
-                None => return usage(),
-            },
-            "--log-level" => match it.next().and_then(|l| Level::parse(&l)) {
-                Some(l) => log_level = l,
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let Some(index_path) = index_path else { return usage() };
-    if use_stdin == listen.is_some() {
+fn cmd_daemon(args: Args) -> Result<(), Exit> {
+    let index_path = args.value(INDEX.name).expect("required flag");
+    let listen = args.value("--listen");
+    if args.has("--stdin") == listen.is_some() {
         // Exactly one transport.
-        return usage();
+        return Err(DAEMON.misuse());
     }
+    let trace_out = args.value(TRACE_OUT.name);
 
     let t_load = Instant::now();
-    let index = match load_index(&index_path) {
-        Ok(i) => i,
-        Err(code) => return code,
-    };
+    let index = load_index(index_path)?;
     let load_secs = t_load.elapsed().as_secs_f64();
     let trace =
         if trace_out.is_some() { TraceCollector::enabled() } else { TraceCollector::disabled() };
-    let events = match &log_out {
-        Some(path) => {
-            let file = match std::fs::File::create(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("extractocol-serve: cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Unbuffered on purpose: the CI gate greps the log while the
-            // daemon is still serving, so records must hit disk at emit
-            // time, not at shutdown.
-            let log = EventLog::enabled(log_level);
-            log.set_sink(Box::new(file), SinkFormat::Text);
-            log
-        }
-        None => EventLog::disabled(),
-    };
+    // The CI gate greps the event log while the daemon is still serving,
+    // which the unbuffered sink from `cli::event_log` allows.
     let daemon = Arc::new(Daemon::with_observability(
         index,
         DaemonConfig::default(),
         extractocol_obs::Registry::new(),
         trace,
-        events,
+        cli::event_log(&args)?,
     ));
     daemon.metrics_index_load(load_secs);
     daemon
         .events
         .info("daemon", "daemon started")
         .field("signatures", daemon.index().len())
-        .field("index_path", index_path.as_str())
+        .field("index_path", index_path)
         .emit();
     eprintln!(
         "daemon: serving {} signatures (loaded {index_path} in {:.1}ms)",
@@ -301,268 +285,93 @@ fn cmd_daemon(args: Vec<String>) -> ExitCode {
         load_secs * 1e3,
     );
 
-    let result = if use_stdin {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        daemon.run_lines(stdin.lock(), stdout.lock())
-    } else {
-        let addr = listen.expect("checked above");
-        let listener = match std::net::TcpListener::bind(&addr) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let local = listener.local_addr().map(|a| a.to_string()).unwrap_or(addr);
-        if let Some(path) = &port_file {
-            let port = local.rsplit(':').next().unwrap_or("");
-            if let Err(e) = std::fs::write(path, format!("{port}\n")) {
-                eprintln!("extractocol-serve: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let result = match listen {
+        None => {
+            let stdin = std::io::stdin();
+            let stdout = std::io::stdout();
+            daemon.run_lines(stdin.lock(), stdout.lock())
         }
-        eprintln!("daemon: listening on {local}");
-        daemon.serve_tcp(listener)
+        Some(addr) => {
+            let listener = std::net::TcpListener::bind(addr)
+                .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+            let local = listener.local_addr().map(|a| a.to_string()).unwrap_or(addr.to_string());
+            if let Some(path) = args.value(PORT_FILE.name) {
+                let port = local.rsplit(':').next().unwrap_or("");
+                cli::write_output(path, format!("{port}\n"))?;
+            }
+            eprintln!("daemon: listening on {local}");
+            daemon.serve_tcp(listener)
+        }
     };
-    if let Err(e) = result {
-        eprintln!("extractocol-serve: daemon: {e}");
-        return ExitCode::FAILURE;
-    }
+    result.map_err(|e| format!("daemon: {e}"))?;
 
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, daemon.registry.render()) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = args.value(METRICS_OUT.name) {
+        cli::write_output(path, daemon.registry.render())?;
     }
-    if let Some(path) = &trace_out {
-        let spans = daemon.trace.drain();
-        if let Err(e) = std::fs::write(path, extractocol_obs::chrome_trace_json(&spans)) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = trace_out {
+        cli::write_output(path, extractocol_obs::chrome_trace_json(&daemon.trace.drain()))?;
     }
     eprintln!("daemon: drained and shut down ({})", daemon.stats_line().replace('\t', " "));
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `extractocol-serve send`: line-protocol client. Streams a traffic
 /// file to a running daemon and prints one response per request line;
 /// exits non-zero if the daemon drops any response.
-fn cmd_send(args: Vec<String>) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut port_file: Option<String> = None;
-    let mut traffic: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = Some(v),
-                None => return usage(),
-            },
-            "--port-file" => match it.next() {
-                Some(p) => port_file = Some(p),
-                None => return usage(),
-            },
-            "--traffic" => match it.next() {
-                Some(p) => traffic = Some(p),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
+fn cmd_send(args: Args) -> Result<(), Exit> {
+    let addr = daemon_addr(&args, &SEND)?;
+    let input = cli::read_input(args.value(TRAFFIC.name).expect("required flag"))?;
+    let responses =
+        extractocol_serve::daemon::send_lines(&addr, &input).map_err(|e| format!("send: {e}"))?;
+    for r in &responses {
+        println!("{r}");
     }
-    let Some(traffic_path) = traffic else { return usage() };
-    let addr = match (addr, port_file) {
-        (Some(a), _) => a,
-        (None, Some(path)) => match std::fs::read_to_string(&path) {
-            Ok(port) => format!("127.0.0.1:{}", port.trim()),
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, None) => return usage(),
-    };
-    let input = match std::fs::read_to_string(&traffic_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("extractocol-serve: cannot read {traffic_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match extractocol_serve::daemon::send_lines(&addr, &input) {
-        Ok(responses) => {
-            for r in &responses {
-                println!("{r}");
-            }
-            eprintln!("send: {} request(s), {} response(s)", responses.len(), responses.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("extractocol-serve: send: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    eprintln!("send: {} request(s), {} response(s)", responses.len(), responses.len());
+    Ok(())
 }
 
 /// `extractocol-serve scrape`: one-shot live introspection. Sends a
 /// single control verb to a running daemon and prints (or writes) the
 /// reply payload — the Prometheus exposition for `METRICS`, the health
 /// line for `HEALTH`, the exemplar dump for `SLOW`.
-fn cmd_scrape(args: Vec<String>) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut port_file: Option<String> = None;
-    let mut verb: Option<String> = None;
-    let mut out: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = Some(v),
-                None => return usage(),
-            },
-            "--port-file" => match it.next() {
-                Some(p) => port_file = Some(p),
-                None => return usage(),
-            },
-            "--verb" => match it.next() {
-                Some(v) => verb = Some(v),
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
+fn cmd_scrape(args: Args) -> Result<(), Exit> {
+    let addr = daemon_addr(&args, &SCRAPE)?;
+    let verb = args.value("--verb").expect("required flag");
+    let payload =
+        extractocol_serve::daemon::scrape(&addr, verb).map_err(|e| format!("scrape: {e}"))?;
+    match args.value(OUT.name) {
+        Some(path) => cli::write_output(path, &payload)?,
+        None => print!("{payload}"),
     }
-    let Some(verb) = verb else { return usage() };
-    // Only introspection verbs: scrape must never mutate daemon state.
-    if !matches!(verb.as_str(), "METRICS" | "HEALTH" | "SLOW" | "STATS" | "PING") {
-        eprintln!("extractocol-serve: scrape verb must be METRICS|HEALTH|SLOW|STATS|PING");
-        return usage();
-    }
-    let addr = match (addr, port_file) {
-        (Some(a), _) => a,
-        (None, Some(path)) => match std::fs::read_to_string(&path) {
-            Ok(port) => format!("127.0.0.1:{}", port.trim()),
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, None) => return usage(),
-    };
-    match extractocol_serve::daemon::scrape(&addr, &verb) {
-        Ok(payload) => {
-            if let Some(path) = &out {
-                if let Err(e) = std::fs::write(path, &payload) {
-                    eprintln!("extractocol-serve: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            } else {
-                print!("{payload}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("extractocol-serve: scrape: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(())
 }
 
-fn cmd_classify(args: Vec<String>) -> ExitCode {
-    let mut report_paths: Vec<String> = Vec::new();
-    let mut use_corpus = false;
-    let mut app_filter: Option<String> = None;
-    let mut index_path: Option<String> = None;
-    let mut traffic: Option<String> = None;
-    let mut jobs = 1usize;
-    let mut json_out = false;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--report" => match it.next() {
-                Some(p) => report_paths.push(p),
-                None => return usage(),
-            },
-            "--corpus" => use_corpus = true,
-            "--app" => match it.next() {
-                Some(n) => app_filter = Some(n),
-                None => return usage(),
-            },
-            "--index" => match it.next() {
-                Some(p) => index_path = Some(p),
-                None => return usage(),
-            },
-            "--traffic" => match it.next() {
-                Some(p) => traffic = Some(p),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--json" => json_out = true,
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
+fn cmd_classify(args: Args) -> Result<(), Exit> {
+    let index_path = args.value(INDEX.name);
+    if index_path.is_none() && !has_sources(&args) {
+        return Err(CLASSIFY.misuse());
     }
-    let Some(traffic_path) = traffic else { return usage() };
-    let have_sources = !report_paths.is_empty() || use_corpus || app_filter.is_some();
-    if index_path.is_none() && !have_sources {
-        return usage();
-    }
+    let jobs = args.get(JOBS.name).unwrap_or(1);
+    let metrics_out = args.value(METRICS_OUT.name);
+    let trace_out = args.value(TRACE_OUT.name);
 
     // Index source: a persistent archive (fast path), or compile from
     // jimple files / the corpus.
     let t_compile = Instant::now();
-    let index = if let Some(path) = &index_path {
-        if have_sources {
+    let index = match index_path {
+        Some(_) if has_sources(&args) => {
             eprintln!("extractocol-serve: --index excludes --report/--corpus/--app");
-            return usage();
+            return Err(CLASSIFY.misuse());
         }
-        match load_index(path) {
-            Ok(i) => i,
-            Err(code) => return code,
-        }
-    } else {
-        let reports = match build_reports(&report_paths, use_corpus, app_filter.as_deref(), jobs) {
-            Ok(r) => r,
-            Err(code) => return code,
-        };
-        SignatureIndex::compile(&reports)
+        Some(path) => load_index(path)?,
+        None => SignatureIndex::compile(&build_reports(&args, jobs)?),
     };
     let compile_dur = t_compile.elapsed();
 
-    let text = match std::fs::read_to_string(&traffic_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("extractocol-serve: cannot read {traffic_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let trace = match extractocol_dynamic::TrafficTrace::parse_request_text("traffic", &text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("extractocol-serve: {traffic_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let traffic_path = args.value(TRAFFIC.name).expect("required flag");
+    let text = cli::read_input(traffic_path)?;
+    let trace = extractocol_dynamic::TrafficTrace::parse_request_text("traffic", &text)
+        .map_err(|e| format!("{traffic_path}: {e}"))?;
     let requests: Vec<_> = trace.transactions.into_iter().map(|t| t.request).collect();
 
     // Instruments/spans only on request — the plain path stays the
@@ -580,21 +389,14 @@ fn cmd_classify(args: Vec<String>) -> ExitCode {
     if observed {
         serve_metrics.observe_phases(compile_dur, t_classify.elapsed());
     }
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, serve_metrics.registry.render()) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = metrics_out {
+        cli::write_output(path, serve_metrics.registry.render())?;
     }
-    if let Some(path) = &trace_out {
-        let spans = collector.drain();
-        if let Err(e) = std::fs::write(path, extractocol_obs::chrome_trace_json(&spans)) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = trace_out {
+        cli::write_output(path, extractocol_obs::chrome_trace_json(&collector.drain()))?;
     }
 
-    if json_out {
+    if args.has("--json") {
         use extractocol_http::JsonValue;
         let mut o = JsonValue::object();
         let rows: Vec<JsonValue> = verdicts
@@ -637,7 +439,7 @@ fn cmd_classify(args: Vec<String>) -> ExitCode {
         }
         print!("{}", stats.to_text());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `extractocol-serve attack`: the adversarial robustness bench. Runs the
@@ -645,63 +447,19 @@ fn cmd_classify(args: Vec<String>) -> ExitCode {
 /// outcome table and the p99-under-attack latency, writes the attack
 /// metrics families on request, and fails when the trie and brute-force
 /// paths ever disagree on an adversarial input.
-fn cmd_attack(args: Vec<String>) -> ExitCode {
-    let mut seed = 0xE57A_AC70u64;
-    let mut per_class = 64usize;
-    let mut jobs = 0usize;
-    let mut index_path: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut json_out = false;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => seed = n,
-                None => return usage(),
-            },
-            "--index" => match it.next() {
-                Some(p) => index_path = Some(p),
-                None => return usage(),
-            },
-            "--per-class" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => per_class = n,
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--json" => json_out = true,
-            _ => return usage(),
-        }
-    }
-
-    let (report, metrics) = match &index_path {
-        Some(path) => match load_index(path) {
-            Ok(index) => serve_bench::run_attack_on(index, seed, per_class),
-            Err(code) => return code,
-        },
-        None => serve_bench::run_attack(seed, per_class, jobs),
+fn cmd_attack(args: Args) -> Result<(), Exit> {
+    let seed = args.get("--seed").unwrap_or(0xE57A_AC70);
+    let per_class = args.get("--per-class").unwrap_or(64);
+    let (report, metrics) = match args.value(INDEX.name) {
+        Some(path) => serve_bench::run_attack_on(load_index(path)?, seed, per_class),
+        None => serve_bench::run_attack(seed, per_class, args.get(JOBS.name).unwrap_or(0)),
     };
 
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, metrics.registry.render()) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = args.value(METRICS_OUT.name) {
+        cli::write_output(path, metrics.registry.render())?;
     }
     let json = report.to_json().to_json();
-    if json_out {
+    if args.has("--json") {
         println!("{json}");
     } else {
         println!(
@@ -724,82 +482,34 @@ fn cmd_attack(args: Vec<String>) -> ExitCode {
             report.differential_checked, report.differential_disagreements
         );
     }
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = args.value(OUT.name) {
+        cli::write_output(path, format!("{json}\n"))?;
     }
 
     if report.differential_disagreements > 0 {
-        eprintln!(
-            "extractocol-serve: trie and brute-force verdicts disagree on {} adversarial case(s)",
+        return Err(format!(
+            "trie and brute-force verdicts disagree on {} adversarial case(s)",
             report.differential_disagreements
-        );
-        return ExitCode::FAILURE;
+        )
+        .into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_bench(args: Vec<String>) -> ExitCode {
-    let mut requests = 50_000usize;
-    let mut jobs = 0usize;
-    let mut iterations = 3usize;
-    let mut margin = 0.5f64;
-    let mut min_speedup = 20.0f64;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--requests" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => requests = n,
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--iterations" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => iterations = n,
-                None => return usage(),
-            },
-            "--margin" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(f) if (0.0..=1.0).contains(&f) => margin = f,
-                _ => return usage(),
-            },
-            "--min-speedup" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(f) => min_speedup = f,
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
+fn cmd_bench(args: Args) -> Result<(), Exit> {
+    let requests = args.get("--requests").unwrap_or(50_000);
+    let jobs = args.get(JOBS.name).unwrap_or(0);
+    let iterations = args.get("--iterations").unwrap_or(3);
+    let margin = args.get("--margin").unwrap_or(0.5f64);
+    let min_speedup = args.get("--min-speedup").unwrap_or(20.0f64);
 
     // With --metrics-out the run adds an instrumented pass (latency
     // histograms, candidate-fraction distribution, shard imbalance); the
     // timed batch behind the throughput numbers stays uninstrumented.
-    let report = if let Some(path) = &metrics_out {
+    let report = if let Some(path) = args.value(METRICS_OUT.name) {
         let observed =
             serve_bench::run_observed(requests, jobs, iterations, &TraceCollector::disabled());
-        if let Err(e) = std::fs::write(path, observed.metrics.registry.render()) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        cli::write_output(path, observed.metrics.registry.render())?;
         print!("{}", observed.phases.to_text());
         observed.report
     } else {
@@ -824,55 +534,39 @@ fn cmd_bench(args: Vec<String>) -> ExitCode {
         report.archive_load_secs * 1e3,
         report.archive_speedup,
     );
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = args.value(OUT.name) {
+        cli::write_output(path, format!("{json}\n"))?;
     }
 
     if report.stats.avg_candidate_fraction() > 0.20 {
-        eprintln!(
-            "extractocol-serve: candidate fraction {:.4} exceeds the 20% pruning bar",
+        return Err(format!(
+            "candidate fraction {:.4} exceeds the 20% pruning bar",
             report.stats.avg_candidate_fraction()
-        );
-        return ExitCode::FAILURE;
+        )
+        .into());
     }
     if report.archive_speedup < min_speedup {
-        eprintln!(
-            "extractocol-serve: archive load is only {:.1}x faster than a rebuild \
-             (bar: {min_speedup:.0}x)",
+        return Err(format!(
+            "archive load is only {:.1}x faster than a rebuild (bar: {min_speedup:.0}x)",
             report.archive_speedup
-        );
-        return ExitCode::FAILURE;
+        )
+        .into());
     }
-    if let Some(path) = &baseline {
-        let base = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let parsed = match extractocol_http::JsonValue::parse(&base) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("extractocol-serve: {path}: invalid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if let Some(path) = args.value("--baseline") {
+        let base = cli::read_input(path)?;
+        let parsed = extractocol_http::JsonValue::parse(&base)
+            .map_err(|e| format!("{path}: invalid JSON: {e}"))?;
         let Some(base_rps) = parsed.get("requests_per_sec").and_then(|v| v.as_num()) else {
-            eprintln!("extractocol-serve: {path}: missing requests_per_sec");
-            return ExitCode::FAILURE;
+            return Err(format!("{path}: missing requests_per_sec").into());
         };
         let floor = base_rps * margin;
         if report.requests_per_sec < floor {
-            eprintln!(
-                "extractocol-serve: best-of-{} throughput {:.0} req/s fell below \
-                 {margin:.2} x baseline {base_rps:.0} req/s",
+            return Err(format!(
+                "best-of-{} throughput {:.0} req/s fell below {margin:.2} x baseline \
+                 {base_rps:.0} req/s",
                 report.iterations, report.requests_per_sec
-            );
-            return ExitCode::FAILURE;
+            )
+            .into());
         }
         println!(
             "baseline check: {:.0} req/s (best of {}) vs baseline {base_rps:.0} req/s \
@@ -880,5 +574,5 @@ fn cmd_bench(args: Vec<String>) -> ExitCode {
             report.requests_per_sec, report.iterations
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -5,7 +5,7 @@
 //! pipeline at any worker count.
 
 use extractocol_core::{AnalysisReport, Extractocol, Options};
-use extractocol_incr::archive::{self, SummaryArchiveError};
+use extractocol_incr::archive::{self, ArchiveError as SummaryArchiveError};
 use extractocol_ir::{Apk, Const, Expr, Stmt, Value};
 use std::path::PathBuf;
 
