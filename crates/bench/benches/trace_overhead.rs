@@ -7,14 +7,14 @@
 //! * `trace=on`  — `analyze_traced` with an enabled collector: the real
 //!   cost of recording the full span tree.
 //!
-//! Plus the serving side: `classify_batch` vs `classify_batch_observed`
-//! (instruments always on, trace off) — the cost of the per-request
-//! timer and atomic counter updates, which is why the bench throughput
-//! gate keeps its timed batch on the uninstrumented path.
+//! Plus the serving side: `classify_batch` with its observer off vs on
+//! (metrics on, trace off) — the cost of the per-request timer and
+//! atomic counter updates, which is why the bench throughput gate keeps
+//! its timed batch on the observer-off path.
 
 use extractocol_bench::timing;
 use extractocol_core::{Extractocol, Options, TraceCollector};
-use extractocol_serve::{classify_batch, classify_batch_observed, ServeMetrics, SignatureIndex};
+use extractocol_serve::{classify_batch, ServeMetrics, SignatureIndex};
 
 fn main() {
     println!("== trace_overhead (pipeline) ==");
@@ -50,10 +50,11 @@ fn main() {
         .map(|t| t.request)
         .collect();
     let requests = extractocol_serve::bench::tile_requests(&base, 20_000);
-    let plain = timing::bench("classify/20k plain", 1, 10, || classify_batch(&index, &requests, 0));
+    let plain =
+        timing::bench("classify/20k plain", 1, 10, || classify_batch(&index, &requests, 0, None));
     let disabled = TraceCollector::disabled();
     let observed = timing::bench("classify/20k observed (trace off)", 1, 10, || {
-        classify_batch_observed(&index, &requests, 0, &ServeMetrics::new(), &disabled)
+        classify_batch(&index, &requests, 0, Some((&ServeMetrics::new(), &disabled)))
     });
     println!(
         "  -> instrumented-pass overhead {:+.1}%",

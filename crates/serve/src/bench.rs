@@ -13,7 +13,7 @@
 //! The emitted JSON (`BENCH_classify.json`) is what CI regression-gates
 //! against the checked-in baseline.
 
-use crate::classify::{classify_batch, classify_batch_observed, ClassifyStats};
+use crate::classify::{classify_batch, ClassifyStats};
 use crate::index::SignatureIndex;
 use crate::metrics::ServeMetrics;
 use extractocol_core::report::AnalysisReport;
@@ -114,16 +114,38 @@ pub fn tile_requests(base: &[Request], n: usize) -> Vec<Request> {
 /// fuzzer requests on `jobs` workers taking the best of `iterations`
 /// timed batches, and samples single-request latency over (up to) 10k
 /// requests.
-pub fn run(requests_n: usize, jobs: usize, iterations: usize) -> BenchReport {
+///
+/// The timed batches always run uninstrumented, so throughput is
+/// comparable to the baseline. With `metrics`, a second, instrumented
+/// pass over the same requests fills the latency/candidate-fraction
+/// histograms, shard telemetry and phase seconds. The returned
+/// [`PhaseTimings`] carry `serve_compile`, plus `serve_classify` when
+/// that pass ran.
+pub fn run(
+    requests_n: usize,
+    jobs: usize,
+    iterations: usize,
+    metrics: Option<&ServeMetrics>,
+) -> (BenchReport, PhaseTimings) {
+    let mut phases = PhaseTimings::default();
     let t_rebuild = Instant::now();
     let reports = corpus_reports(jobs);
+    let t = Instant::now();
     let index = SignatureIndex::compile(&reports);
+    phases.serve_compile = t.elapsed();
     let rebuild_secs = t_rebuild.elapsed().as_secs_f64();
     let base = corpus_requests();
     let requests = tile_requests(&base, requests_n);
     let mut report = bench_index(&index, &requests, jobs, iterations);
     fill_archive_timings(&index, rebuild_secs, &mut report);
-    report
+
+    if let Some(metrics) = metrics {
+        let t = Instant::now();
+        classify_batch(&index, &requests, jobs, Some((metrics, &TraceCollector::disabled())));
+        phases.serve_classify = t.elapsed();
+        metrics.observe_phases(phases.serve_compile, phases.serve_classify);
+    }
+    (report, phases)
 }
 
 /// Times the persistent-index path against the rebuild the caller just
@@ -138,63 +160,6 @@ fn fill_archive_timings(index: &SignatureIndex, rebuild_secs: f64, report: &mut 
     report.archive_load_secs = archive_load_secs;
     report.archive_speedup =
         if archive_load_secs > 0.0 { rebuild_secs / archive_load_secs } else { f64::INFINITY };
-}
-
-/// [`run`] plus the instrument bundle behind `bench --metrics-out`.
-#[derive(Clone)]
-pub struct ObservedBench {
-    /// The throughput report from the *uninstrumented* timed batch — the
-    /// numbers the baseline gate compares stay free of metric overhead.
-    pub report: BenchReport,
-    /// Classifier instruments filled by a second, instrumented pass over
-    /// the same request set (latency histograms, candidate-fraction
-    /// distribution, shard imbalance, phase seconds).
-    pub metrics: ServeMetrics,
-    /// Serve-side phase wall-clocks (`serve_compile` / `serve_classify`).
-    pub phases: PhaseTimings,
-}
-
-/// Runs the benchmark with instruments: the timed batch stays on the
-/// uninstrumented fast path (so throughput numbers are comparable to the
-/// baseline), then an instrumented pass over the same requests fills the
-/// latency/candidate-fraction histograms, shard telemetry, and the
-/// `serve_compile`/`serve_classify` [`PhaseTimings`] slots.
-pub fn run_observed(
-    requests_n: usize,
-    jobs: usize,
-    iterations: usize,
-    trace: &TraceCollector,
-) -> ObservedBench {
-    let metrics = ServeMetrics::new();
-    let mut phases = PhaseTimings::default();
-
-    let t_rebuild = Instant::now();
-    let reports = corpus_reports(jobs);
-    let t = Instant::now();
-    let index = {
-        let mut s = trace.span_in("phase", "serve_compile");
-        let index = SignatureIndex::compile(&reports);
-        s.attr("signatures", index.len()).attr("trie_nodes", index.trie_nodes());
-        index
-    };
-    phases.serve_compile = t.elapsed();
-    let rebuild_secs = t_rebuild.elapsed().as_secs_f64();
-    let base = corpus_requests();
-    let requests = tile_requests(&base, requests_n);
-
-    let mut report = bench_index(&index, &requests, jobs, iterations);
-    fill_archive_timings(&index, rebuild_secs, &mut report);
-    let report = report;
-
-    let t = Instant::now();
-    {
-        let mut s = trace.span_in("phase", "serve_classify");
-        s.attr("requests", requests.len()).attr("jobs", jobs);
-        classify_batch_observed(&index, &requests, jobs, &metrics, trace);
-    }
-    phases.serve_classify = t.elapsed();
-    metrics.observe_phases(phases.serve_compile, phases.serve_classify);
-    ObservedBench { report, metrics, phases }
 }
 
 /// Measures one compiled index against one request set: best-of-N timed
@@ -212,7 +177,7 @@ fn bench_index(
     let mut stats = ClassifyStats::default();
     for _ in 0..iterations {
         let t = Instant::now();
-        let (_, s) = classify_batch(index, requests, jobs);
+        let (_, s) = classify_batch(index, requests, jobs, None);
         elapsed = elapsed.min(t.elapsed().as_secs_f64());
         stats = s;
     }
@@ -228,13 +193,6 @@ fn bench_index(
         })
         .collect();
     lat_us.sort_unstable_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if lat_us.is_empty() {
-            return 0.0;
-        }
-        let i = ((lat_us.len() - 1) as f64 * p).round() as usize;
-        lat_us[i]
-    };
 
     BenchReport {
         requests: requests.len(),
@@ -247,10 +205,19 @@ fn bench_index(
         rebuild_secs: 0.0,
         archive_load_secs: 0.0,
         archive_speedup: 0.0,
-        p50_latency_us: pct(0.50),
-        p99_latency_us: pct(0.99),
+        p50_latency_us: percentile(&lat_us, 0.50),
+        p99_latency_us: percentile(&lat_us, 0.99),
         stats,
     }
+}
+
+/// The `p`-quantile of an ascending-sorted sample (nearest rank by
+/// rounding); 0 for an empty sample.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
 }
 
 // ---------------------------------------------------------------------------
@@ -395,21 +362,14 @@ pub fn run_attack_on(
     let elapsed = run_started.elapsed().as_secs_f64();
 
     lat_us.sort_unstable_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if lat_us.is_empty() {
-            return 0.0;
-        }
-        let i = ((lat_us.len() - 1) as f64 * p).round() as usize;
-        lat_us[i]
-    };
 
     let report = AttackBenchReport {
         seed,
         per_class,
         cases: cases.len(),
         per_class_tally: tallies,
-        p50_latency_us: pct(0.50),
-        p99_latency_us: pct(0.99),
+        p50_latency_us: percentile(&lat_us, 0.50),
+        p99_latency_us: percentile(&lat_us, 0.99),
         elapsed_secs: elapsed,
         differential_checked,
         differential_disagreements,

@@ -46,8 +46,7 @@ use extractocol_obs::cli::{
 };
 use extractocol_serve::bench as serve_bench;
 use extractocol_serve::{
-    classify_batch, classify_batch_observed, Daemon, DaemonConfig, ServeMetrics, SignatureIndex,
-    Verdict,
+    classify_batch, Daemon, DaemonConfig, ServeMetrics, SignatureIndex, Verdict,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -381,11 +380,8 @@ fn cmd_classify(args: Args) -> Result<(), Exit> {
     let collector =
         if trace_out.is_some() { TraceCollector::enabled() } else { TraceCollector::disabled() };
     let t_classify = Instant::now();
-    let (verdicts, stats) = if observed {
-        classify_batch_observed(&index, &requests, jobs, &serve_metrics, &collector)
-    } else {
-        classify_batch(&index, &requests, jobs)
-    };
+    let observer = observed.then_some((&serve_metrics, &collector));
+    let (verdicts, stats) = classify_batch(&index, &requests, jobs, observer);
     if observed {
         serve_metrics.observe_phases(compile_dur, t_classify.elapsed());
     }
@@ -506,15 +502,14 @@ fn cmd_bench(args: Args) -> Result<(), Exit> {
     // With --metrics-out the run adds an instrumented pass (latency
     // histograms, candidate-fraction distribution, shard imbalance); the
     // timed batch behind the throughput numbers stays uninstrumented.
-    let report = if let Some(path) = args.value(METRICS_OUT.name) {
-        let observed =
-            serve_bench::run_observed(requests, jobs, iterations, &TraceCollector::disabled());
-        cli::write_output(path, observed.metrics.registry.render())?;
-        print!("{}", observed.phases.to_text());
-        observed.report
-    } else {
-        serve_bench::run(requests, jobs, iterations)
-    };
+    let metrics_out = args.value(METRICS_OUT.name);
+    let metrics = ServeMetrics::new();
+    let (report, phases) =
+        serve_bench::run(requests, jobs, iterations, metrics_out.map(|_| &metrics));
+    if let Some(path) = metrics_out {
+        cli::write_output(path, metrics.registry.render())?;
+        print!("{}", phases.to_text());
+    }
     let json = report.to_json().to_json();
     println!(
         "classified {} requests against {} signatures: {:.0} req/s best of {} \

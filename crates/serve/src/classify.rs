@@ -9,14 +9,14 @@
 //! produce **byte-identical** verdict vectors *and* stats — pinned by the
 //! corpus-wide differential test.
 
-use crate::index::{SignatureIndex, Verdict};
+use crate::index::{Probe, SignatureIndex, Verdict};
 use crate::metrics::ServeMetrics;
 use extractocol_core::par::parallel_map;
 use extractocol_core::TraceCollector;
 use extractocol_http::Request;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Shard size for batch classification. Fixed (not derived from `jobs`)
 /// so stats aggregation is invariant under the worker count.
@@ -112,47 +112,38 @@ impl ClassifyStats {
     }
 }
 
+/// Optional instruments for [`classify_batch`]: the metric bundle to fill
+/// and the collector for the `shard → request → trie_probe /
+/// structural_match` span tree. `None` is the uninstrumented path — no
+/// per-request timer, metric update or span.
+pub type Observer<'a> = Option<(&'a ServeMetrics, &'a TraceCollector)>;
+
 /// Classifies a batch of requests on `jobs` workers. Verdicts come back
 /// in input order; stats are identical for any `jobs` value.
+///
+/// With an observer, every request also feeds the counters, the
+/// candidate-fraction distribution and the per-verdict latency
+/// histograms, the shard fan-out feeds the imbalance telemetry, and the
+/// span tree is recorded when the collector records. Verdicts and stats
+/// are the same either way.
 pub fn classify_batch(
     index: &SignatureIndex,
     requests: &[Request],
     jobs: usize,
+    observer: Observer<'_>,
 ) -> (Vec<Verdict>, ClassifyStats) {
-    let shards: Vec<&[Request]> = requests.chunks(SHARD_SIZE).collect();
-    let shard_results = parallel_map(&shards, jobs, |_, shard| classify_shard(index, shard));
-    let mut verdicts = Vec::with_capacity(requests.len());
-    let mut stats = ClassifyStats { signatures: index.len(), ..ClassifyStats::default() };
-    for (vs, shard_stats) in shard_results {
-        verdicts.extend(vs);
-        stats.merge(&shard_stats);
+    if let Some((metrics, _)) = observer {
+        metrics.observe_index(index.len(), index.trie_nodes());
     }
-    (verdicts, stats)
-}
-
-/// [`classify_batch`] with instruments and spans: per-request counters,
-/// the candidate-fraction distribution, per-verdict latency histograms,
-/// and shard-imbalance telemetry into `metrics`; a `shard → request →
-/// trie_probe/structural_match` span tree into `trace` when it records.
-///
-/// Verdicts and stats are identical to the plain path — only the
-/// per-request timer and the metric updates ride along. Throughput
-/// benchmarks keep using [`classify_batch`] for the timed run so the
-/// gate measures the uninstrumented fast path.
-pub fn classify_batch_observed(
-    index: &SignatureIndex,
-    requests: &[Request],
-    jobs: usize,
-    metrics: &ServeMetrics,
-    trace: &TraceCollector,
-) -> (Vec<Verdict>, ClassifyStats) {
-    metrics.observe_index(index.len(), index.trie_nodes());
     let shards: Vec<&[Request]> = requests.chunks(SHARD_SIZE).collect();
     let shard_results = parallel_map(&shards, jobs, |i, shard| {
+        let Some((_, trace)) = observer else {
+            return (classify_shard(index, shard, None), Duration::ZERO);
+        };
         let mut span = trace.span_in("shard", format!("shard:{i}"));
         span.attr("shard", i).attr("requests", shard.len());
         let t = Instant::now();
-        let out = classify_shard_observed(index, shard, metrics, trace);
+        let out = classify_shard(index, shard, observer);
         (out, t.elapsed())
     });
     let mut verdicts = Vec::with_capacity(requests.len());
@@ -163,68 +154,25 @@ pub fn classify_batch_observed(
         stats.merge(&shard_stats);
         shard_durs.push(dur);
     }
-    metrics.observe_shards(&shard_durs);
-    (verdicts, stats)
-}
-
-/// Sequentially classifies one shard, feeding `metrics` and `trace`.
-fn classify_shard_observed(
-    index: &SignatureIndex,
-    shard: &[Request],
-    metrics: &ServeMetrics,
-    trace: &TraceCollector,
-) -> (Vec<Verdict>, ClassifyStats) {
-    let mut verdicts = Vec::with_capacity(shard.len());
-    let mut stats = ClassifyStats::default();
-    for req in shard {
-        let mut rspan = trace.span_in("request", "request");
-        // The trie probe runs once more under its own span when tracing;
-        // the metric path below times the real (single) classify call.
-        if rspan.is_recording() {
-            let mut ps = trace.span_in("step", "trie_probe");
-            ps.attr("candidates", index.candidates(&req.uri.raw).len());
-        }
-        let t = Instant::now();
-        let (verdict, probe) = {
-            let mut ms = trace.span_in("step", "structural_match");
-            let (verdict, probe) = index.classify(req);
-            if ms.is_recording() {
-                ms.attr("structural_evals", probe.structural_evals)
-                    .attr("matched", matches!(verdict, Verdict::Match(_)));
-            }
-            (verdict, probe)
-        };
-        let latency = t.elapsed();
-        metrics.observe_request(&verdict, &probe, index.len(), Some(latency));
-        if rspan.is_recording() {
-            rspan.attr("method", req.method.as_str()).attr("candidates", probe.candidates);
-            if let Verdict::Match(id) = verdict {
-                rspan.attr("sig_id", id as u64);
-            }
-        }
-        stats.requests += 1;
-        stats.candidates_total += probe.candidates;
-        stats.structural_evals += probe.structural_evals;
-        stats.budget_exhausted += probe.budget_exhausted;
-        stats.max_candidates = stats.max_candidates.max(probe.candidates);
-        match verdict {
-            Verdict::Match(id) => {
-                stats.matched += 1;
-                *stats.per_app.entry(index.sig(id).app.clone()).or_insert(0) += 1;
-            }
-            Verdict::Unmatched => stats.unmatched += 1,
-        }
-        verdicts.push(verdict);
+    if let Some((metrics, _)) = observer {
+        metrics.observe_shards(&shard_durs);
     }
     (verdicts, stats)
 }
 
 /// Sequentially classifies one shard.
-fn classify_shard(index: &SignatureIndex, shard: &[Request]) -> (Vec<Verdict>, ClassifyStats) {
+fn classify_shard(
+    index: &SignatureIndex,
+    shard: &[Request],
+    observer: Observer<'_>,
+) -> (Vec<Verdict>, ClassifyStats) {
     let mut verdicts = Vec::with_capacity(shard.len());
     let mut stats = ClassifyStats::default();
     for req in shard {
-        let (verdict, probe) = index.classify(req);
+        let (verdict, probe) = match observer {
+            None => index.classify(req),
+            Some((metrics, trace)) => classify_observed(index, req, metrics, trace),
+        };
         stats.requests += 1;
         stats.candidates_total += probe.candidates;
         stats.structural_evals += probe.structural_evals;
@@ -240,6 +188,41 @@ fn classify_shard(index: &SignatureIndex, shard: &[Request]) -> (Vec<Verdict>, C
         verdicts.push(verdict);
     }
     (verdicts, stats)
+}
+
+/// Classifies one request under a `request` span, timing the classify
+/// call into `metrics`.
+fn classify_observed(
+    index: &SignatureIndex,
+    req: &Request,
+    metrics: &ServeMetrics,
+    trace: &TraceCollector,
+) -> (Verdict, Probe) {
+    let mut rspan = trace.span_in("request", "request");
+    // The trie probe runs once more under its own span when tracing;
+    // the metric path below times the real (single) classify call.
+    if rspan.is_recording() {
+        let mut ps = trace.span_in("step", "trie_probe");
+        ps.attr("candidates", index.candidates(&req.uri.raw).len());
+    }
+    let t = Instant::now();
+    let (verdict, probe) = {
+        let mut ms = trace.span_in("step", "structural_match");
+        let (verdict, probe) = index.classify(req);
+        if ms.is_recording() {
+            ms.attr("structural_evals", probe.structural_evals)
+                .attr("matched", matches!(verdict, Verdict::Match(_)));
+        }
+        (verdict, probe)
+    };
+    metrics.observe_request(&verdict, &probe, index.len(), Some(t.elapsed()));
+    if rspan.is_recording() {
+        rspan.attr("method", req.method.as_str()).attr("candidates", probe.candidates);
+        if let Verdict::Match(id) = verdict {
+            rspan.attr("sig_id", id as u64);
+        }
+    }
+    (verdict, probe)
 }
 
 #[cfg(test)]
@@ -287,8 +270,8 @@ mod tests {
         let reqs: Vec<Request> = (0..1500)
             .map(|i| Request::get(&format!("http://h/api/{}/item{}", i % 10, i)))
             .collect();
-        let (v1, s1) = classify_batch(&idx, &reqs, 1);
-        let (v8, s8) = classify_batch(&idx, &reqs, 8);
+        let (v1, s1) = classify_batch(&idx, &reqs, 1, None);
+        let (v8, s8) = classify_batch(&idx, &reqs, 8, None);
         assert_eq!(v1, v8);
         assert_eq!(s1, s8);
         assert_eq!(s1.requests, 1500);
@@ -308,10 +291,10 @@ mod tests {
         let idx = small_index();
         let reqs: Vec<Request> =
             (0..700).map(|i| Request::get(&format!("http://h/api/{}/item{}", i % 10, i))).collect();
-        let (v, s) = classify_batch(&idx, &reqs, 2);
+        let (v, s) = classify_batch(&idx, &reqs, 2, None);
         let metrics = ServeMetrics::new();
         let trace = TraceCollector::enabled();
-        let (vo, so) = classify_batch_observed(&idx, &reqs, 1, &metrics, &trace);
+        let (vo, so) = classify_batch(&idx, &reqs, 1, Some((&metrics, &trace)));
         assert_eq!(v, vo);
         assert_eq!(s, so);
         let det = metrics.registry.render_deterministic();
@@ -338,7 +321,7 @@ mod tests {
             .collect();
         let snapshot = |jobs: usize| {
             let metrics = ServeMetrics::new();
-            classify_batch_observed(&idx, &reqs, jobs, &metrics, &TraceCollector::disabled());
+            classify_batch(&idx, &reqs, jobs, Some((&metrics, &TraceCollector::disabled())));
             metrics.registry.render_deterministic()
         };
         assert_eq!(snapshot(1), snapshot(8));
@@ -347,7 +330,7 @@ mod tests {
     #[test]
     fn empty_batch_yields_default_stats() {
         let idx = small_index();
-        let (v, s) = classify_batch(&idx, &[], 4);
+        let (v, s) = classify_batch(&idx, &[], 4, None);
         assert!(v.is_empty());
         assert_eq!(s.requests, 0);
         assert_eq!(s.signatures, 8);
@@ -358,7 +341,7 @@ mod tests {
     fn stats_text_mentions_the_headline_numbers() {
         let idx = small_index();
         let reqs = vec![Request::get("http://h/api/3/x")];
-        let (_, s) = classify_batch(&idx, &reqs, 1);
+        let (_, s) = classify_batch(&idx, &reqs, 1, None);
         let text = s.to_text();
         assert!(text.contains("requests:          1"));
         assert!(text.contains("demo: 1"));

@@ -271,9 +271,6 @@ impl DaemonMetrics {
 pub struct Daemon {
     slot: RwLock<Arc<SignatureIndex>>,
     generation: AtomicU64,
-    requests: AtomicU64,
-    swaps: AtomicU64,
-    parse_errors: AtomicU64,
     /// Requests currently between parse and reply.
     inflight: AtomicU64,
     /// Accept-order connection numbering (stdin is 0).
@@ -302,18 +299,13 @@ pub struct Daemon {
 impl Daemon {
     /// A daemon serving `index`, with a fresh registry and tracing off.
     pub fn new(index: SignatureIndex, config: DaemonConfig) -> Daemon {
-        Daemon::with_instruments(index, config, Registry::new(), TraceCollector::disabled())
-    }
-
-    /// A daemon on caller-owned instruments (shared exposition/trace),
-    /// with the event log disabled.
-    pub fn with_instruments(
-        index: SignatureIndex,
-        config: DaemonConfig,
-        registry: Registry,
-        trace: TraceCollector,
-    ) -> Daemon {
-        Daemon::with_observability(index, config, registry, trace, EventLog::disabled())
+        Daemon::with_observability(
+            index,
+            config,
+            Registry::new(),
+            TraceCollector::disabled(),
+            EventLog::disabled(),
+        )
     }
 
     /// A daemon on caller-owned instruments plus a structured event log.
@@ -337,9 +329,6 @@ impl Daemon {
         Daemon {
             slot: RwLock::new(Arc::new(index)),
             generation: AtomicU64::new(1),
-            requests: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            parse_errors: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(1),
             stdin_seq: AtomicU64::new(0),
@@ -376,17 +365,15 @@ impl Daemon {
     /// traffic, control verb, or garbage. Never panics — malformed input
     /// produces an `error\t…` reply.
     pub fn process_line(&self, line: &str) -> Reply {
-        // Sequence numbers are only consumed by traffic lines so control
-        // verbs don't perturb the deterministic trace-id series; peek at
-        // the verb before allocating one.
         self.process_line_ctx(line, 0, &self.stdin_seq)
     }
 
     /// Handles one input line in an explicit connection context:
     /// `conn_id` names the connection (0 = stdin), `seq` is that
-    /// connection's traffic-line counter (incremented here for every
-    /// traffic line, so trace ids are dense and replay-stable).
-    pub fn process_line_ctx(&self, line: &str, conn_id: u64, seq: &AtomicU64) -> Reply {
+    /// connection's traffic-line counter. Only traffic lines consume a
+    /// sequence number, so control verbs don't perturb the deterministic
+    /// trace-id series and trace ids stay dense and replay-stable.
+    fn process_line_ctx(&self, line: &str, conn_id: u64, seq: &AtomicU64) -> Reply {
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() || trimmed.starts_with('#') {
             return Reply::Empty;
@@ -451,10 +438,10 @@ impl Daemon {
              \tparse_errors={}\tuptime_ticks={}",
             self.generation(),
             index.len(),
-            self.requests.load(Ordering::Relaxed),
-            self.swaps.load(Ordering::Relaxed),
+            self.metrics.requests.get(),
+            self.metrics.swaps.get(),
             self.inflight.load(Ordering::Relaxed),
-            self.parse_errors.load(Ordering::Relaxed),
+            self.metrics.parse_errors.get(),
             self.start.elapsed().as_secs(),
         )
     }
@@ -469,7 +456,7 @@ impl Daemon {
             index.len(),
             self.start.elapsed().as_secs(),
             self.inflight.load(Ordering::Relaxed),
-            self.requests.load(Ordering::Relaxed),
+            self.metrics.requests.get(),
             self.last_swap.lock().unwrap_or_else(|e| e.into_inner()),
         )
     }
@@ -487,7 +474,6 @@ impl Daemon {
             }
             Err(e) => {
                 self.metrics.parse_errors.inc();
-                self.parse_errors.fetch_add(1, Ordering::Relaxed);
                 span.attr("outcome", "parse_error");
                 self.events
                     .warn("daemon", "request parse rejected")
@@ -502,7 +488,6 @@ impl Daemon {
         // cannot pull it out from under us.
         let index = self.index();
         let (verdict, _probe) = index.classify(&req);
-        self.requests.fetch_add(1, Ordering::Relaxed);
         self.metrics.requests.inc();
         let latency_us = t0.elapsed().as_secs_f64() * 1e6;
         self.metrics.request_latency.observe_with_exemplar(latency_us, trace_id);
@@ -622,7 +607,6 @@ impl Daemon {
             std::mem::replace(&mut *slot, Arc::new(new_index))
         };
         let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        self.swaps.fetch_add(1, Ordering::Relaxed);
         self.metrics.swaps.inc();
         self.metrics.generation.set(generation as f64);
 
@@ -656,30 +640,10 @@ impl Daemon {
     }
 
     /// Runs the line protocol over arbitrary reader/writer pairs (stdin
-    /// mode; also the unit-test harness). Returns when the input ends or
-    /// a `SHUTDOWN` arrives.
-    pub fn run_lines<R: BufRead, W: Write>(&self, reader: R, mut writer: W) -> io::Result<()> {
-        for line in reader.lines() {
-            match self.process_line(&line?) {
-                Reply::Empty => {}
-                Reply::Line(r) => {
-                    writeln!(writer, "{r}")?;
-                    writer.flush()?;
-                }
-                Reply::Lines(block) => {
-                    for r in block {
-                        writeln!(writer, "{r}")?;
-                    }
-                    writer.flush()?;
-                }
-                Reply::Bye(r) => {
-                    writeln!(writer, "{r}")?;
-                    writer.flush()?;
-                    break;
-                }
-            }
-        }
-        Ok(())
+    /// mode; also the unit-test harness) as connection 0. Returns when
+    /// the input ends or a `SHUTDOWN` arrives.
+    pub fn run_lines<R: BufRead, W: Write>(&self, reader: R, writer: W) -> io::Result<()> {
+        self.serve_lines(reader, writer, 0, &self.stdin_seq, &AtomicBool::new(false))
     }
 
     /// TCP mode: non-blocking accept loop, one thread per connection.
@@ -721,59 +685,71 @@ impl Daemon {
             return;
         }
         let Ok(read_half) = stream.try_clone() else { return };
-        let mut reader = BufReader::new(read_half);
-        let mut writer = BufWriter::new(stream);
+        // A read or write error just closes this connection.
+        let _ = self.serve_lines(
+            BufReader::new(read_half),
+            BufWriter::new(stream),
+            conn_id,
+            &seq,
+            shutdown,
+        );
+        self.events
+            .debug("daemon", "connection closed")
+            .field("conn_id", conn_id)
+            .field("requests", seq.load(Ordering::Relaxed))
+            .emit();
+    }
+
+    /// The one line loop behind both transports: answers each input line
+    /// on connection `conn_id`, flushing after every reply. Returns when
+    /// the input ends, on the first read or write error, after the `bye`
+    /// of a `SHUTDOWN` (which also sets `shutdown`), or when a read times
+    /// out with `shutdown` already set.
+    fn serve_lines<R: BufRead, W: Write>(
+        &self,
+        mut reader: R,
+        mut writer: W,
+        conn_id: u64,
+        seq: &AtomicU64,
+        shutdown: &AtomicBool,
+    ) -> io::Result<()> {
         let mut line = String::new();
         loop {
             // `line` is only cleared after a full line is handled: a read
             // timeout mid-line leaves the partial bytes in place and the
             // next read appends the remainder.
             match reader.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) => {
-                    let reply = self.process_line_ctx(&line, conn_id, &seq);
-                    line.clear();
-                    match reply {
-                        Reply::Empty => {}
-                        Reply::Line(r) => {
-                            if writeln!(writer, "{r}").and_then(|_| writer.flush()).is_err() {
-                                break;
-                            }
-                        }
-                        Reply::Lines(block) => {
-                            let write_block = |w: &mut BufWriter<TcpStream>| -> io::Result<()> {
-                                for r in &block {
-                                    writeln!(w, "{r}")?;
-                                }
-                                w.flush()
-                            };
-                            if write_block(&mut writer).is_err() {
-                                break;
-                            }
-                        }
-                        Reply::Bye(r) => {
-                            let _ = writeln!(writer, "{r}").and_then(|_| writer.flush());
-                            shutdown.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                }
+                Ok(0) => return Ok(()),
+                Ok(_) => {}
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
                     if shutdown.load(Ordering::SeqCst) {
-                        break;
+                        return Ok(());
                     }
+                    continue;
                 }
-                Err(_) => break,
+                Err(e) => return Err(e),
             }
+            let reply = self.process_line_ctx(&line, conn_id, seq);
+            line.clear();
+            let (lines, bye) = match &reply {
+                Reply::Empty => continue,
+                Reply::Line(r) => (std::slice::from_ref(r), false),
+                Reply::Lines(block) => (block.as_slice(), false),
+                Reply::Bye(r) => (std::slice::from_ref(r), true),
+            };
+            let written = lines
+                .iter()
+                .try_for_each(|r| writeln!(writer, "{r}"))
+                .and_then(|()| writer.flush());
+            if bye {
+                shutdown.store(true, Ordering::SeqCst);
+                return written;
+            }
+            written?;
         }
-        self.events
-            .debug("daemon", "connection closed")
-            .field("conn_id", conn_id)
-            .field("requests", seq.load(Ordering::Relaxed))
-            .emit();
     }
 }
 
@@ -842,29 +818,6 @@ pub fn scrape(addr: &str, verb: &str) -> io::Result<String> {
         Some((_header, payload)) => Ok(format!("{payload}\n")),
         None if block_line_count(&response).is_some() => Ok(String::new()),
         None => Ok(format!("{response}\n")),
-    }
-}
-
-/// Collects every response a concurrent writer produced — helper for
-/// tests that drive [`Daemon::run_lines`] over an in-memory pipe.
-#[derive(Clone, Default)]
-pub struct SharedBuf(pub Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl SharedBuf {
-    /// The UTF-8 contents written so far.
-    pub fn contents(&self) -> String {
-        String::from_utf8_lossy(&self.0.lock().unwrap_or_else(|e| e.into_inner())).into_owned()
     }
 }
 
@@ -1119,9 +1072,9 @@ mod tests {
         let d = daemon(&["http://h/api/a/"]);
         let input =
             "GET\thttp://h/api/a/1\n# note\n\nGET\thttp://h/zzz\nSHUTDOWN\nGET\thttp://h/api/a/2\n";
-        let out = SharedBuf::default();
-        d.run_lines(io::Cursor::new(input), out.clone()).expect("run");
-        let contents = out.contents();
+        let mut out = Vec::new();
+        d.run_lines(io::Cursor::new(input), &mut out).expect("run");
+        let contents = String::from_utf8_lossy(&out);
         let lines: Vec<&str> = contents.lines().collect();
         // One response per non-empty line up to SHUTDOWN; nothing after.
         assert_eq!(lines, vec!["match\tdemo\t0\tjava.net.HttpURLConnection", "unmatched", "bye"]);

@@ -7,16 +7,21 @@
 //! provenance at high throughput. This is the paper's "network management
 //! / signature-based filtering" use case (§2, §7) made concrete.
 //!
-//! Four layers:
+//! Six layers:
 //!
 //! * [`index`] — the immutable compiled index: a byte-trie over mandatory
 //!   literal URI prefixes prunes the candidate set before the structural
 //!   matcher runs; verdicts are deterministic and brute-force-equivalent.
 //! * [`classify`] — batch classification on the `core::par` worker pool
 //!   with fixed-size shards and order-independent stat merging, so
-//!   results are byte-identical across `jobs` settings.
+//!   results are byte-identical across `jobs` settings. One
+//!   [`classify_batch`] serves both the plain and the instrumented run:
+//!   its optional [`Observer`] fills [`ServeMetrics`] and the span tree,
+//!   and costs nothing when off.
 //! * [`bench`] — the corpus-driven throughput benchmark behind
-//!   `extractocol-serve bench` and CI's `BENCH_classify.json` gate.
+//!   `extractocol-serve bench` and CI's `BENCH_classify.json` gate. Its
+//!   timed batches run with the observer off; metrics come from a
+//!   second, observed pass.
 //! * [`metrics`] — the serving-side instrument bundle ([`ServeMetrics`]):
 //!   verdict counters, the candidate-fraction distribution,
 //!   per-verdict-class latency histograms, and shard telemetry, rendered
@@ -25,8 +30,8 @@
 //!   archive written by `extractocol-serve compile` and loaded by every
 //!   other subcommand, so the index is built once and served many times.
 //! * [`daemon`] — the long-running classifier: line-based traffic
-//!   protocol over stdin or TCP, atomic hot-swap to a recompiled
-//!   archive, graceful drain on shutdown.
+//!   protocol over stdin or TCP (one line loop serves both), atomic
+//!   hot-swap to a recompiled archive, graceful drain on shutdown.
 //!
 //! [`AnalysisReport`]: extractocol_core::report::AnalysisReport
 
@@ -40,8 +45,8 @@ pub mod metrics;
 pub use archive::{
     read_archive, read_archive_file, write_archive, write_archive_file, ArchiveError,
 };
-pub use bench::{AttackBenchReport, AttackClassTally, BenchReport, ObservedBench};
-pub use classify::{classify_batch, classify_batch_observed, ClassifyStats};
+pub use bench::{AttackBenchReport, AttackClassTally, BenchReport};
+pub use classify::{classify_batch, ClassifyStats, Observer};
 pub use daemon::{
     scrape, send_lines, trace_id_for, Daemon, DaemonConfig, DaemonMetrics, Reply, SwapError,
     SwapOutcome,

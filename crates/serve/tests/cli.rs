@@ -6,7 +6,7 @@
 mod usage_contract;
 
 use std::io::Write;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn serve_cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_extractocol-serve"))
@@ -182,6 +182,44 @@ fn serve_cli_compile_then_classify_index_round_trips() {
 
     let _ = std::fs::remove_file(&archive);
     let _ = std::fs::remove_file(&traffic);
+}
+
+#[test]
+fn serve_cli_daemon_answers_stdin_until_shutdown() {
+    let tmp = std::env::temp_dir();
+    let archive = tmp.join(format!("extractocol-daemon-stdin-{}.exsv", std::process::id()));
+    let out = serve_cli()
+        .args(["compile", "--app", "radio reddit", "--out"])
+        .arg(&archive)
+        .output()
+        .expect("run compile");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let app = extractocol_corpus::app("radio reddit").expect("corpus app");
+    let traffic = extractocol_dynamic::run_perfect_fuzzer(&app).to_request_text();
+    let hit = traffic.lines().find(|l| !l.is_empty() && !l.starts_with('#')).expect("a request");
+    // The app has no DELETE transaction, so the third request cannot match.
+    let input =
+        format!("{hit}\n# comment\n\nDELETE\thttp://nowhere.example/zzz\nSHUTDOWN\n{hit}\n");
+
+    let mut child = serve_cli()
+        .args(["daemon", "--stdin", "--index"])
+        .arg(&archive)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    child.stdin.take().expect("stdin").write_all(input.as_bytes()).expect("write stdin");
+    let out = child.wait_with_output().expect("daemon exits");
+    let _ = std::fs::remove_file(&archive);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    // One reply per traffic or control line up to SHUTDOWN; nothing after.
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(lines[0].starts_with("match\tradio reddit\t"), "{stdout}");
+    assert_eq!(lines[1..], ["unmatched", "bye"], "{stdout}");
 }
 
 #[test]

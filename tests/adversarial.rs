@@ -22,7 +22,7 @@ use extractocol_core::siglang::SigPat;
 use extractocol_dynamic::{generate_attacks, AdversarialConfig, AttackClass, TrafficTrace};
 use extractocol_http::{HttpMethod, Request};
 use extractocol_ir::rng::Rng;
-use extractocol_serve::{classify_batch, classify_batch_observed, SignatureIndex};
+use extractocol_serve::{classify_batch, SignatureIndex};
 use extractocol_serve::{AttackMetrics, ServeMetrics};
 
 fn corpus_index_and_requests() -> (SignatureIndex, Vec<Request>) {
@@ -172,8 +172,8 @@ fn adversarial_corpus_is_jobs_invariant() {
     let parsed: Vec<Request> = cases.iter().filter_map(|c| c.parse().ok().flatten()).collect();
     assert!(parsed.len() > 20, "too few parseable attack cases: {}", parsed.len());
 
-    let (v1, s1) = classify_batch(&index, &parsed, 1);
-    let (v8, s8) = classify_batch(&index, &parsed, 8);
+    let (v1, s1) = classify_batch(&index, &parsed, 1, None);
+    let (v8, s8) = classify_batch(&index, &parsed, 8, None);
     assert_eq!(v1, v8, "verdicts differ between jobs=1 and jobs=8");
     assert_eq!(s1, s8, "stats differ between jobs=1 and jobs=8");
 
@@ -181,8 +181,8 @@ fn adversarial_corpus_is_jobs_invariant() {
     let m1 = ServeMetrics::new();
     let m8 = ServeMetrics::new();
     let t = extractocol_core::TraceCollector::disabled();
-    classify_batch_observed(&index, &parsed, 1, &m1, &t);
-    classify_batch_observed(&index, &parsed, 8, &m8, &t);
+    classify_batch(&index, &parsed, 1, Some((&m1, &t)));
+    classify_batch(&index, &parsed, 8, Some((&m8, &t)));
     assert_eq!(
         m1.registry.render_deterministic(),
         m8.registry.render_deterministic(),

@@ -7,6 +7,7 @@ use extractocol_core::{Extractocol, Options};
 use extractocol_ir::container::ArchiveError;
 use extractocol_ir::hash::fnv1a64;
 use extractocol_serve::SignatureIndex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One archive under test: its format name, its bytes, its reader, and
 /// the offset of a declared element count inside it.
@@ -22,8 +23,11 @@ fn archives() -> Vec<Archive> {
     let report = extractocol_dynamic::conformance::analyze_app(&app.apk, app.truth.open_source, 1);
     let exsv = extractocol_serve::write_archive(&SignatureIndex::compile(&[report]));
 
-    let path =
-        std::env::temp_dir().join(format!("extractocol-container-{}.exsm", std::process::id()));
+    // Tests in this binary run in parallel: each call gets its own file.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir()
+        .join(format!("extractocol-container-{}-{call}.exsm", std::process::id()));
     let opts = Options { summary_cache_path: Some(path.clone()), ..Options::default() };
     Extractocol::with_options(opts).analyze(&app.apk);
     let exsm = std::fs::read(&path).expect("pipeline wrote the summary cache");

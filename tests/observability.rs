@@ -137,7 +137,7 @@ fn per_run_metrics_stay_out_of_the_deterministic_snapshot() {
 
 #[test]
 fn serve_deterministic_snapshot_is_jobs_invariant_on_corpus_traffic() {
-    use extractocol_serve::{classify_batch_observed, ServeMetrics, SignatureIndex};
+    use extractocol_serve::{classify_batch, ServeMetrics, SignatureIndex};
     // A corpus slice keeps the debug-mode runtime sane while still
     // crossing shard boundaries (> 512 requests after tiling).
     let apps: Vec<_> = corpus().into_iter().take(6).collect();
@@ -157,7 +157,7 @@ fn serve_deterministic_snapshot_is_jobs_invariant_on_corpus_traffic() {
     let snapshot = |jobs: usize| {
         let metrics = ServeMetrics::new();
         let (verdicts, _) =
-            classify_batch_observed(&index, &requests, jobs, &metrics, &TraceCollector::disabled());
+            classify_batch(&index, &requests, jobs, Some((&metrics, &TraceCollector::disabled())));
         (verdicts, metrics.registry.render_deterministic())
     };
     let (v1, s1) = snapshot(1);

@@ -70,8 +70,8 @@ fn classify_agrees_with_brute_force_on_all_corpus_traffic() {
 #[test]
 fn batch_classification_is_jobs_invariant() {
     let (index, requests) = corpus_index_and_requests();
-    let (v1, s1) = classify_batch(&index, &requests, 1);
-    let (v8, s8) = classify_batch(&index, &requests, 8);
+    let (v1, s1) = classify_batch(&index, &requests, 1, None);
+    let (v8, s8) = classify_batch(&index, &requests, 8, None);
     assert_eq!(v1, v8, "verdict vectors differ between jobs=1 and jobs=8");
     assert_eq!(s1, s8, "stats differ between jobs=1 and jobs=8");
     assert_eq!(s1.requests, requests.len());
@@ -81,7 +81,7 @@ fn batch_classification_is_jobs_invariant() {
 #[test]
 fn trie_pruning_meets_the_twenty_percent_bar() {
     let (index, requests) = corpus_index_and_requests();
-    let (_, stats) = classify_batch(&index, &requests, 1);
+    let (_, stats) = classify_batch(&index, &requests, 1, None);
     let frac = stats.avg_eval_fraction();
     assert!(
         frac <= 0.20,
