@@ -87,6 +87,12 @@ grep "serve_attack_parse_errors_total{class=\"malformed_wire\"}" METRICS_attack.
   | grep -qv " 0\$" \
   || { echo "METRICS_attack.txt: malformed_wire produced no parse errors"; exit 1; }
 
+echo "==> obs-diff gate (attack baseline: hostile-traffic verdicts and budget counts must not drift)"
+cargo run --release -q -p extractocol-obs --bin extractocol-obs-diff -- \
+  METRICS_attack.baseline.txt METRICS_attack.txt --ignore-per-run \
+  || { echo "obs-diff: deterministic drift against METRICS_attack.baseline.txt \
+(regenerate the baseline if the change is intentional)"; exit 1; }
+
 echo "==> serving gate (archive compile + daemon smoke: hot swap, graceful drain, live introspection)"
 rm -f daemon.port daemon_events.log METRICS_live.txt
 cargo run --release -q -p extractocol-serve --bin extractocol-serve -- \

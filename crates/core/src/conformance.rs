@@ -8,15 +8,18 @@
 //! this module is the in-repo analogue and the correctness backstop for
 //! the whole signature pipeline.
 //!
-//! Every check is *differential* where possible: URI and header values are
-//! matched both through the compiled regex ([`SigPat::to_regex`] +
-//! regexlite) and through direct structural matching on the signature tree
+//! URI and header values are checked *differentially*: matched both
+//! through the compiled regex ([`SigPat::to_regex`] + regexlite) and
+//! through direct structural matching on the signature tree
 //! ([`SigPat::matches`]), so a bug in the regex compiler or the regex
 //! engine shows up as an [`MismatchKind::EngineDisagreement`] instead of
-//! silently biasing the verdict. Structured bodies go through
+//! silently biasing the verdict. Request bodies go through
+//! [`request_body_matches`], the structural check serving shares, and
+//! response bodies through
 //! [`JsonSig::matches`](crate::siglang::JsonSig::matches) /
-//! [`XmlSig::matches`](crate::siglang::XmlSig::matches), and dependency
-//! edges are checked against the observed transaction order.
+//! [`XmlSig::matches`](crate::siglang::XmlSig::matches); the random-signature
+//! property test cross-checks the two engines offline. Dependency edges are
+//! checked against the observed transaction order.
 //!
 //! All matching is step-budgeted ([`DEFAULT_MATCH_BUDGET`]); running out
 //! of budget is a definitive diagnostic, never a silent no-match.
@@ -214,10 +217,10 @@ fn dual_match(sig: &SigPat, re: &Regex, input: &str) -> Verdict {
     }
 }
 
-/// Mirrors the trace-level body check (`extractocol-dynamic`'s
-/// `body_matches`) for request bodies: constant form keys must be present,
-/// JSON/XML bodies must satisfy the tree signature, text signatures accept
-/// anything, and mismatched representation kinds fail.
+/// The request-body check: constant form keys must be present, JSON/XML
+/// bodies must satisfy the tree signature, text signatures accept
+/// anything, and mismatched representation kinds fail. Every comparison
+/// runs the structural matcher; the regex engine is not consulted.
 ///
 /// Public because the signature-serving classifier (`extractocol-serve`)
 /// applies the *same* body semantics to surviving candidates — a request
@@ -228,12 +231,12 @@ pub fn request_body_matches(sig: &BodySig, body: &Body) -> bool {
 }
 
 /// Budgeted variant of [`request_body_matches`]: the same semantics, but
-/// every structural/regex comparison runs under a step budget so a
-/// pathological body (deeply nested JSON, giant forms, regex-exhaustion
-/// text) cannot burn unbounded work. `Err(BudgetExceeded)` is distinct
-/// from `Ok(false)`; callers on the serving hot path treat it as a
-/// non-match *and* count it, keeping trie and brute-force verdicts
-/// identical on adversarial traffic.
+/// every structural comparison (each form key, each JSON/XML leaf) runs
+/// under a step budget so a pathological body (deeply nested JSON, giant
+/// forms, regex-exhaustion text) cannot burn unbounded work.
+/// `Err(BudgetExceeded)` is distinct from `Ok(false)`; callers on the
+/// serving hot path treat it as a non-match *and* count it, keeping trie
+/// and brute-force verdicts identical on adversarial traffic.
 pub fn request_body_matches_budgeted(
     sig: &BodySig,
     body: &Body,
@@ -242,26 +245,14 @@ pub fn request_body_matches_budgeted(
     match (sig, body) {
         (BodySig::Form(pairs), Body::Form(concrete)) => {
             for (k, _) in pairs {
-                let mut structural = false;
+                let mut present = false;
                 for (ck, _) in concrete {
                     if k.matches_budgeted(ck, budget)? {
-                        structural = true;
+                        present = true;
                         break;
                     }
                 }
-                if !structural {
-                    return Ok(false);
-                }
-                let mut compiled = false;
-                if let Ok(re) = Regex::new(&k.to_regex()) {
-                    for (ck, _) in concrete {
-                        if re.is_match_budgeted(ck, budget)? {
-                            compiled = true;
-                            break;
-                        }
-                    }
-                }
-                if !compiled {
+                if !present {
                     return Ok(false);
                 }
             }

@@ -305,14 +305,16 @@ impl SigPat {
 
     /// Structural whole-string matching evaluated directly on the signature
     /// tree — fully independent of [`SigPat::to_regex`] and the regexlite
-    /// engine, so the conformance oracle can cross-check the regex compiler
-    /// instead of trusting it to test itself.
+    /// engine, embedded JSON/XML leaves included, so the conformance oracle
+    /// can cross-check the regex compiler instead of trusting it to test
+    /// itself. This is the only engine that decides whether traffic
+    /// matches a signature.
     pub fn matches(&self, s: &str) -> bool {
         self.matches_budgeted(s, usize::MAX).expect("unbounded budget cannot be exceeded")
     }
 
     /// Budgeted structural matching. `Err(BudgetExceeded)` is distinct from
-    /// a non-match, mirroring `Regex::is_match_budgeted` semantics.
+    /// a non-match: running out of steps is never reported as "no match".
     pub fn matches_budgeted(&self, s: &str, budget: usize) -> Result<bool, BudgetExceeded> {
         let mut steps = 0usize;
         let starts: BTreeSet<usize> = std::iter::once(0).collect();
@@ -403,40 +405,34 @@ impl SigPat {
                 }
                 return Ok(all);
             }
-            SigPat::Json(j) => {
-                // An embedded JSON document: any slice that parses as JSON
-                // and satisfies the tree signature.
+            SigPat::Json(_) | SigPat::Xml(_) => {
+                // An embedded JSON/XML document: any slice that parses and
+                // satisfies the tree signature. Each parse attempt is
+                // charged its slice length, so the quadratic slice scan
+                // over a long tail exhausts the budget instead of burning
+                // unbounded parse work.
                 for &p in starts {
                     for q in (p + 1)..=s.len() {
                         if !s.is_char_boundary(q) {
                             continue;
                         }
-                        *steps = steps.saturating_add(1);
+                        *steps = steps.saturating_add(q - p);
                         if *steps > budget {
                             return Err(BudgetExceeded { budget });
                         }
-                        if let Ok(v) = JsonValue::parse(&s[p..q]) {
-                            if j.matches_counted(&v, steps, budget)? {
-                                out.insert(q);
-                            }
-                        }
-                    }
-                }
-            }
-            SigPat::Xml(x) => {
-                for &p in starts {
-                    for q in (p + 1)..=s.len() {
-                        if !s.is_char_boundary(q) {
-                            continue;
-                        }
-                        *steps = steps.saturating_add(1);
-                        if *steps > budget {
-                            return Err(BudgetExceeded { budget });
-                        }
-                        if let Ok(e) = XmlElement::parse(&s[p..q]) {
-                            if x.matches_counted(&e, steps, budget)? {
-                                out.insert(q);
-                            }
+                        let hit = match self {
+                            SigPat::Json(j) => match JsonValue::parse(&s[p..q]) {
+                                Ok(v) => j.matches_counted(&v, steps, budget)?,
+                                Err(_) => false,
+                            },
+                            SigPat::Xml(x) => match XmlElement::parse(&s[p..q]) {
+                                Ok(e) => x.matches_counted(&e, steps, budget)?,
+                                Err(_) => false,
+                            },
+                            _ => unreachable!("only embedded-tree patterns reach this arm"),
+                        };
+                        if hit {
+                            out.insert(q);
                         }
                     }
                 }
@@ -588,8 +584,9 @@ impl JsonSig {
     }
 
     /// Budgeted structural match. Every signature/value node visited costs
-    /// one step and leaf patterns run under the regex engine's own step
-    /// budget, so a giant or deeply nested body cannot burn unbounded work.
+    /// one step and each leaf pattern runs [`SigPat::matches_budgeted`]
+    /// under a fresh budget of its own, so a giant or deeply nested body
+    /// cannot burn unbounded work.
     /// `Err(BudgetExceeded)` is distinct from `Ok(false)`, mirroring
     /// [`SigPat::matches_budgeted`].
     pub fn matches_budgeted(&self, v: &JsonValue, budget: usize) -> Result<bool, BudgetExceeded> {
@@ -639,16 +636,8 @@ impl JsonSig {
                 }
                 false
             }
-            (JsonSig::Value(p), vv) => {
-                let text = match vv {
-                    JsonValue::String(s) => s.clone(),
-                    other => other.to_json(),
-                };
-                match extractocol_http::Regex::new(&p.to_regex()) {
-                    Ok(r) => r.is_match_budgeted(&text, budget)?,
-                    Err(_) => false,
-                }
-            }
+            (JsonSig::Value(p), JsonValue::String(s)) => p.matches_budgeted(s, budget)?,
+            (JsonSig::Value(p), other) => p.matches_budgeted(&other.to_json(), budget)?,
             _ => false,
         })
     }
@@ -816,8 +805,9 @@ impl XmlSig {
     }
 
     /// Budgeted structural match: element visits cost one step each and
-    /// attribute/text patterns run under the regex engine's budget, so a
-    /// giant or deeply nested document cannot burn unbounded work.
+    /// each attribute/text pattern runs [`SigPat::matches_budgeted`] under a
+    /// fresh budget of its own, so a giant or deeply nested document cannot
+    /// burn unbounded work.
     /// `Err(BudgetExceeded)` is distinct from `Ok(false)`.
     pub fn matches_budgeted(&self, e: &XmlElement, budget: usize) -> Result<bool, BudgetExceeded> {
         let mut steps = 0usize;
@@ -839,8 +829,7 @@ impl XmlSig {
         }
         for (k, p) in &self.attrs {
             let Some(v) = e.attr_value(k) else { return Ok(false) };
-            let Ok(r) = extractocol_http::Regex::new(&p.to_regex()) else { return Ok(false) };
-            if !r.is_match_budgeted(v, budget)? {
+            if !p.matches_budgeted(v, budget)? {
                 return Ok(false);
             }
         }
@@ -871,8 +860,7 @@ impl XmlSig {
             }
         }
         if let Some(tp) = &self.text {
-            let Ok(r) = extractocol_http::Regex::new(&tp.to_regex()) else { return Ok(false) };
-            if !r.is_match_budgeted(&e.text_content(), budget)? {
+            if !tp.matches_budgeted(&e.text_content(), budget)? {
                 return Ok(false);
             }
         }
@@ -1327,5 +1315,27 @@ mod tests {
         assert_eq!(sig.matches_budgeted(&body, usize::MAX), Ok(false));
         let ok = format!("{body}tail");
         assert_eq!(sig.matches_budgeted(&ok, usize::MAX), Ok(true));
+    }
+
+    #[test]
+    fn embedded_json_parse_attempts_are_charged_by_length() {
+        use extractocol_http::regexlite::DEFAULT_MATCH_BUDGET;
+        let mut body = JsonSig::object();
+        body.put("k", JsonSig::Value(Box::new(SigPat::any_str())));
+        let sig = SigPat::Concat(vec![SigPat::lit("http://h/a?q="), SigPat::Json(body)]);
+        // An unterminated document with a 64 KiB tail: every end position
+        // is a parse attempt, so the scan must run out of budget rather
+        // than parse quadratically many bytes and answer `Ok(false)`.
+        let hostile = format!("http://h/a?q={{\"k\":\"{}", "x".repeat(64 << 10));
+        assert_eq!(
+            sig.matches_budgeted(&hostile, DEFAULT_MATCH_BUDGET),
+            Err(BudgetExceeded { budget: DEFAULT_MATCH_BUDGET })
+        );
+        let short = r#"http://h/a?q={"k":"v"}"#;
+        assert_eq!(sig.matches_budgeted(short, DEFAULT_MATCH_BUDGET), Ok(true));
+        assert_eq!(
+            sig.matches_budgeted(r#"http://h/a?q={"j":"v"}"#, DEFAULT_MATCH_BUDGET),
+            Ok(false)
+        );
     }
 }

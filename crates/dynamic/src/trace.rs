@@ -1,8 +1,8 @@
 //! Captured traffic and the paper's trace-level metrics.
 //!
 //! * **Signature validity** (§5.1): every static signature with a
-//!   corresponding trace must match it (URI regex + method + body
-//!   signature).
+//!   corresponding trace must match it (URI signature + method + body
+//!   signature), all decided by the structural matcher.
 //! * **Constant keywords** (Fig. 7): query keys, form keys, JSON keys, and
 //!   XML tags/attributes found in requests/responses.
 //! * **Byte attribution** (Table 2): what fraction of message bytes is
@@ -10,8 +10,8 @@
 //!   key/value pairs (Rv), and by fully-wildcard content (Rn).
 
 use extractocol_core::report::{AnalysisReport, TxnReport};
-use extractocol_core::sigbuild::{BodySig, ResponseSig};
-use extractocol_http::{Body, HttpMethod, Regex, Transaction};
+use extractocol_core::sigbuild::ResponseSig;
+use extractocol_http::{Body, HttpMethod, Transaction};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -364,14 +364,15 @@ fn parse_body(mime: &str, raw: &str) -> Result<Body, TraceParseErrorKind> {
     }
 }
 
+/// Whether a trace transaction carries a static transaction's method and
+/// a URI its signature matches (structurally, like the serving index).
+fn uri_matches(txn: &TxnReport, t: &Transaction) -> bool {
+    t.request.method == txn.method && txn.uri.matches(&t.request.uri.to_uri_string())
+}
+
 /// Which trace transactions a static transaction signature matches.
 pub fn matching_transactions<'t>(txn: &TxnReport, trace: &'t TrafficTrace) -> Vec<&'t Transaction> {
-    let Ok(re) = Regex::new(&txn.uri_regex) else { return Vec::new() };
-    trace
-        .transactions
-        .iter()
-        .filter(|t| t.request.method == txn.method && re.is_match(&t.request.uri.to_uri_string()))
-        .collect()
+    trace.transactions.iter().filter(|t| uri_matches(txn, t)).collect()
 }
 
 /// Signature-validity result for one app (§5.1: "All such signatures
@@ -389,25 +390,27 @@ pub struct Validity {
     pub orphan_lines: Vec<(HttpMethod, String)>,
 }
 
-/// Validates every reconstructed transaction against a trace.
+/// Validates every reconstructed transaction against a trace. A trace
+/// line is an orphan iff no transaction's hit set contains it.
 pub fn validate(report: &AnalysisReport, trace: &TrafficTrace) -> Validity {
     let mut v = Validity::default();
+    let mut hit = vec![false; trace.transactions.len()];
     for txn in &report.transactions {
-        if matching_transactions(txn, trace).is_empty() {
-            v.no_traffic += 1;
-        } else {
+        let mut any = false;
+        for (i, t) in trace.transactions.iter().enumerate() {
+            if uri_matches(txn, t) {
+                hit[i] = true;
+                any = true;
+            }
+        }
+        if any {
             v.matched += 1;
+        } else {
+            v.no_traffic += 1;
         }
     }
-    for t in &trace.transactions {
-        let uri = t.request.uri.to_uri_string();
-        let matched = report.transactions.iter().any(|txn| {
-            txn.method == t.request.method
-                && Regex::new(&txn.uri_regex).map(|re| re.is_match(&uri)).unwrap_or(false)
-        });
-        if !matched {
-            v.orphan_lines.push((t.request.method, uri));
-        }
+    for (t, _) in trace.transactions.iter().zip(hit).filter(|(_, h)| !h) {
+        v.orphan_lines.push((t.request.method, t.request.uri.to_uri_string()));
     }
     v
 }
@@ -558,21 +561,6 @@ pub fn response_byte_fractions(report: &AnalysisReport, trace: &TrafficTrace) ->
         }
     }
     total
-}
-
-/// Validates a request body against its static body signature (used by
-/// integration tests for the logical-equivalence check).
-pub fn body_matches(sig: &BodySig, body: &Body) -> bool {
-    match (sig, body) {
-        (BodySig::Form(pairs), Body::Form(concrete)) => pairs.iter().all(|(k, _)| {
-            let key_re = Regex::new(&k.to_regex());
-            key_re.map(|re| concrete.iter().any(|(ck, _)| re.is_match(ck))).unwrap_or(false)
-        }),
-        (BodySig::Json(js), Body::Json(j)) => js.matches(j),
-        (BodySig::Xml(xs), Body::Xml(x)) => xs.matches(x),
-        (BodySig::Text(_), _) => true,
-        _ => false,
-    }
 }
 
 #[cfg(test)]

@@ -22,8 +22,10 @@
 //! such prefix node lies on the walked path — so the candidate set is a
 //! superset of all possibly-matching signatures. Only the survivors reach
 //! the structural matcher ([`SigPat::matches_budgeted`]) and, for requests
-//! carrying a body against a body-constrained signature, the tree-sig
-//! check ([`request_body_matches`]).
+//! carrying a body against a body-constrained signature, the budgeted
+//! body check ([`request_body_matches_budgeted`]), which runs the same
+//! structural matcher on form keys and JSON/XML leaves. No regex is
+//! compiled or run on the serving path.
 //!
 //! # Determinism
 //!

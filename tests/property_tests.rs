@@ -6,6 +6,8 @@
 //!   on the signature dialect;
 //! * signature normalization is idempotent and meaning-preserving
 //!   (concrete strings drawn from a signature always match its regex);
+//! * the structural signature matcher (the only engine that decides
+//!   matches) agrees with the compiled regex on random signatures;
 //! * JSON parse∘serialize is a fixpoint;
 //! * arbitrary input never panics the parsers.
 //!
@@ -13,7 +15,7 @@
 //! reports a reproducible seed.
 
 use extractocol_core::siglang::{SigPat, TypeHint};
-use extractocol_http::regexlite::escape_literal;
+use extractocol_http::regexlite::{escape_literal, DEFAULT_MATCH_BUDGET};
 use extractocol_http::{JsonValue, Regex, XmlElement};
 use extractocol_ir::rng::Rng;
 
@@ -317,6 +319,54 @@ fn strings_drawn_from_a_signature_match_its_regex() {
             sample
         );
     }
+}
+
+/// The offline engine cross-check: serving, the dynamic trace metrics and
+/// the body check all decide matches with `SigPat::matches_budgeted` alone,
+/// so it must agree with `to_regex` + regexlite on random signatures —
+/// against strings drawn from the signature, those strings with one char
+/// added or dropped, random strings, and edge strings.
+#[test]
+fn structural_matcher_agrees_with_compiled_regex() {
+    let mut checked = 0usize;
+    for case in 0..2048u64 {
+        let mut rng = Rng::new(0x5EC0_57A7 ^ case);
+        let sig = gen_sig(&mut rng, 3);
+        let regex = Regex::new(&sig.to_regex()).expect("signature regex compiles");
+        let mut inputs: Vec<String> = vec![String::new(), "true".into(), "123".into()];
+        for _ in 0..4 {
+            let sample = sample_from(&sig, rng.next_u32() % 1000);
+            let mut added = sample.clone();
+            let at = rng.below(added.len() + 1);
+            added.insert(at, *rng.pick(&SIG_ALPHABET));
+            inputs.push(added);
+            if !sample.is_empty() {
+                let mut dropped = sample.clone();
+                dropped.remove(rng.below(dropped.len()));
+                inputs.push(dropped);
+            }
+            inputs.push(sample);
+        }
+        for _ in 0..4 {
+            let len = rng.below(13);
+            inputs.push(rng.ascii_string(&SIG_ALPHABET, len));
+        }
+        for input in &inputs {
+            let structural = sig.matches_budgeted(input, DEFAULT_MATCH_BUDGET);
+            let compiled = regex.is_match_budgeted(input, DEFAULT_MATCH_BUDGET);
+            if let (Ok(a), Ok(b)) = (structural, compiled) {
+                assert_eq!(
+                    a,
+                    b,
+                    "case {case}: signature {} regex {} input {input:?}",
+                    sig.display(),
+                    sig.to_regex()
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 2048 * 10, "only {checked} pairs reached a verdict on both engines");
 }
 
 /// Robustness: arbitrary input never panics the parsers — they return a
