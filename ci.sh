@@ -25,6 +25,9 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> perfbench's own tests (composed classify/pipeline equal the real ones)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> conformance gate (clean corpus, traced)"
 cargo run --release -q -p extractocol-dynamic --bin extractocol-eval -- \
   --conformance --trace-out trace.json

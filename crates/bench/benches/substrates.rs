@@ -1,27 +1,11 @@
-//! Substrate micro-benches: the regex-lite engine (signature matching
-//! throughput over traces) and the taint engine on growing programs.
+//! Substrate micro-bench: the taint engine on growing programs.
 
 use extractocol_analysis::{
     AccessPath, CallGraph, CallbackRegistry, ConservativeModel, Direction, Seed, TaintEngine,
     TaintOptions,
 };
 use extractocol_bench::timing;
-use extractocol_http::Regex;
 use extractocol_ir::{ApkBuilder, ProgramIndex, Type, Value};
-
-fn regex_matching() {
-    let sig =
-        Regex::new("https://app-api\\.ted\\.com/v1/talks/[0-9]*/android_ad\\.json\\?api-key=.*")
-            .unwrap();
-    let hits = "https://app-api.ted.com/v1/talks/2406/android_ad.json?api-key=x9";
-    let misses = "https://app-api.ted.com/v1/speakers.json?limit=2000&api-key=x9";
-    timing::bench("regexlite_match_hit", 100, 10_000, || {
-        assert!(sig.is_match(std::hint::black_box(hits)))
-    });
-    timing::bench("regexlite_match_miss", 100, 10_000, || {
-        assert!(!sig.is_match(std::hint::black_box(misses)))
-    });
-}
 
 /// A synthetic call chain of `n` methods copying a tainted string through.
 fn chain_apk(n: usize) -> extractocol_ir::Apk {
@@ -62,6 +46,5 @@ fn taint_scaling() {
 }
 
 fn main() {
-    regex_matching();
     taint_scaling();
 }

@@ -38,9 +38,9 @@ fn trace_counts(trace: &extractocol_dynamic::TrafficTrace) -> Counts {
     let mut req = BTreeSet::new();
     let mut resp = BTreeSet::new();
     for t in &trace.transactions {
-        let key = format!("{} {}", t.request.method, t.request.uri.to_uri_string());
+        let key = format!("{} {}", t.request.method, t.request.uri);
         uri.insert(key.clone());
-        if !t.request.uri.query.is_empty() || !matches!(t.request.body, Body::Empty) {
+        if !t.request.uri.query().is_empty() || !matches!(t.request.body, Body::Empty) {
             req.insert(key.clone());
         }
         if !matches!(t.response.body, Body::Empty) {

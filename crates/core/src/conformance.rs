@@ -311,8 +311,8 @@ fn check_txn(
         if t.request.method != txn.method {
             continue;
         }
-        let uri = t.request.uri.to_uri_string();
-        match dual_match(&txn.uri, &re, &uri) {
+        let uri = &t.request.uri.raw;
+        match dual_match(&txn.uri, &re, uri) {
             Verdict::Match => hits.push(i),
             Verdict::NoMatch => {}
             Verdict::Disagree(s, r) => diags.push(diag(
@@ -321,7 +321,7 @@ fn check_txn(
                 &format!("{uri} (structural={s} regex={r})"),
             )),
             Verdict::Budget => {
-                diags.push(diag(ConformanceField::Uri, MismatchKind::BudgetExceeded, &uri))
+                diags.push(diag(ConformanceField::Uri, MismatchKind::BudgetExceeded, uri))
             }
         }
     }

@@ -12,11 +12,15 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_extractocol"))
 }
 
+/// Writes `name` to a temp file named after the calling test: tests run
+/// in parallel, and a shared path lets one test truncate the file another
+/// is reading.
 fn write_app(name: &str) -> std::path::PathBuf {
     let app = extractocol_corpus::app(name).expect("corpus app");
     let txt = extractocol_ir::printer::print_apk(&app.apk);
+    let test = std::thread::current().name().unwrap_or("main").to_string();
     let mut path = std::env::temp_dir();
-    path.push(format!("extractocol-cli-{}.jimple", name.replace(' ', "-")));
+    path.push(format!("extractocol-cli-{}-{test}.jimple", name.replace(' ', "-")));
     let mut f = std::fs::File::create(&path).expect("temp file");
     f.write_all(txt.as_bytes()).expect("write");
     path

@@ -73,13 +73,13 @@ impl ServerSpec {
 
     /// Serves a request: first matching route wins; no match → 404.
     pub fn serve(&self, req: &Request) -> Response {
-        let uri = req.uri.to_uri_string();
+        let uri = &req.uri.raw;
         for r in &self.routes {
             if r.method != req.method {
                 continue;
             }
             let Ok(re) = Regex::new(&r.pattern) else { continue };
-            if !re.is_match(&uri) {
+            if !re.is_match(uri) {
                 continue;
             }
             if let Some((name, vp)) = &r.require_header {

@@ -20,7 +20,7 @@
 use extractocol_http::Request;
 use extractocol_ir::rng::{Rng, SplitMix64};
 
-use crate::trace::{TraceParseError, TrafficTrace};
+use crate::trace::{parse_request_line, request_line, TraceParseError};
 
 /// The attack taxonomy. Each variant is one generation strategy and one
 /// labelled counter family in the serving metrics.
@@ -89,14 +89,15 @@ impl AttackCase {
     /// means the line degenerated into a blank/comment (possible after
     /// truncation) — not an error, just no request to classify.
     pub fn parse(&self) -> Result<Option<Request>, TraceParseError> {
-        let trace = TrafficTrace::parse_request_text("attack", &self.line)?;
-        Ok(trace.transactions.into_iter().next().map(|t| t.request))
+        parse_request_line(&self.line)
     }
 }
 
 /// Suite shape: one suite seed fans out into `per_class` cases for each
-/// of the seven classes via a SplitMix64 stream, so suites of different
-/// sizes share a prefix and any case is reproducible in isolation.
+/// of the seven classes via one SplitMix64 stream, drawn class by class.
+/// Any case is reproducible in isolation from its own `seed`. Suites of
+/// different sizes share only the first class's cases: growing
+/// `per_class` shifts the seeds of every later class.
 #[derive(Clone, Copy, Debug)]
 pub struct AdversarialConfig {
     pub seed: u64,
@@ -131,18 +132,6 @@ fn stock_lines() -> Vec<String> {
     ]
 }
 
-/// Serializes one request as a single wire-format line (no newline).
-fn request_line(req: &Request) -> String {
-    let trace = TrafficTrace {
-        app: "base".to_string(),
-        transactions: vec![extractocol_http::Transaction {
-            request: req.clone(),
-            response: extractocol_http::Response::ok(extractocol_http::Body::Empty),
-        }],
-    };
-    trace.to_request_text().trim_end_matches('\n').to_string()
-}
-
 /// Generates the full suite: `per_class` cases for each attack class,
 /// mutating `base` requests where the class calls for realistic carrier
 /// traffic (so trie-surviving prefixes stress the real match path).
@@ -155,20 +144,26 @@ pub fn generate_attacks(config: &AdversarialConfig, base: &[Request]) -> Vec<Att
     for class in AttackClass::ALL {
         for _ in 0..config.per_class {
             let seed = seeder.next_u64();
-            let mut rng = Rng::new(seed);
-            let line = match class {
-                AttackClass::MalformedWire => malformed_wire(&mut rng, &base_lines),
-                AttackClass::DeepBody => deep_body(&mut rng, &base_lines),
-                AttackClass::GiantBody => giant_body(&mut rng, &base_lines),
-                AttackClass::UriMutation => uri_mutation(&mut rng, &base_lines),
-                AttackClass::RegexExhaustion => regex_exhaustion(&mut rng, &base_lines),
-                AttackClass::Truncated => truncated(&mut rng, &base_lines),
-                AttackClass::OversizedHeaders => oversized_headers(&mut rng, &base_lines),
-            };
+            let line = attack_line(class, seed, &base_lines);
             out.push(AttackCase { class, seed, id: out.len(), line });
         }
     }
     out
+}
+
+/// The one line a class's generator draws from a per-case seed.
+fn attack_line(class: AttackClass, seed: u64, base: &[String]) -> String {
+    let mut rng = Rng::new(seed);
+    let rng = &mut rng;
+    match class {
+        AttackClass::MalformedWire => malformed_wire(rng, base),
+        AttackClass::DeepBody => deep_body(rng, base),
+        AttackClass::GiantBody => giant_body(rng, base),
+        AttackClass::UriMutation => uri_mutation(rng, base),
+        AttackClass::RegexExhaustion => regex_exhaustion(rng, base),
+        AttackClass::Truncated => truncated(rng, base),
+        AttackClass::OversizedHeaders => oversized_headers(rng, base),
+    }
 }
 
 /// The URI (second) field of a base line, or the whole line if the
@@ -443,13 +438,22 @@ mod tests {
 
     #[test]
     fn suite_prefix_is_stable_across_sizes() {
-        // Growing per_class must not reshuffle earlier cases within a
-        // class (the SplitMix64 stream is consumed in class-major order,
-        // so equal prefixes hold per class when per_class grows).
+        // The seed stream is drawn class by class, so growing per_class
+        // keeps the first class's cases as a shared prefix and shifts
+        // every later class's seeds.
         let small = generate_attacks(&AdversarialConfig { seed: 5, per_class: 2 }, &[]);
-        let large = generate_attacks(&AdversarialConfig { seed: 5, per_class: 2 }, &[]);
-        for (s, l) in small.iter().zip(&large) {
-            assert_eq!(s.line, l.line);
+        let large = generate_attacks(&AdversarialConfig { seed: 5, per_class: 5 }, &[]);
+        let first = AttackClass::ALL[0];
+        let shared = small.iter().take_while(|c| c.class == first).count();
+        assert_eq!(shared, 2);
+        for (s, l) in small.iter().zip(&large).take(shared) {
+            assert_eq!((s.class, s.seed, &s.line), (l.class, l.seed, &l.line));
+        }
+        assert_ne!(small[shared].seed, large[5].seed, "later classes draw shifted seeds");
+        // Every case regenerates from its own seed alone.
+        let base = stock_lines();
+        for case in small.iter().chain(&large) {
+            assert_eq!(attack_line(case.class, case.seed, &base), case.line, "case {}", case.id);
         }
     }
 }

@@ -1544,9 +1544,9 @@ mod tests {
         interp.invoke("t.Api", "login", vec![RtValue::Str("alice".into())]).unwrap();
         interp.invoke("t.Api", "fetch", vec![]).unwrap();
         assert_eq!(interp.trace.len(), 2);
-        assert_eq!(interp.trace[0].request.uri.to_uri_string(), "http://h/login?u=alice");
+        assert_eq!(interp.trace[0].request.uri.raw, "http://h/login?u=alice");
         // The token from the first response flows into the second request.
-        assert_eq!(interp.trace[1].request.uri.to_uri_string(), "http://h/items?auth=tk-99");
+        assert_eq!(interp.trace[1].request.uri.raw, "http://h/items?auth=tk-99");
         assert_eq!(interp.trace[0].response.status, 200);
     }
 }

@@ -35,4 +35,7 @@ pub use adversarial::{generate_attacks, AdversarialConfig, AttackCase, AttackCla
 pub use conformance::{conformance_all, conformance_check, mutation_self_test, MutationSummary};
 pub use fuzz::{run_auto_fuzzer, run_manual_fuzzer, run_perfect_fuzzer};
 pub use interp::{Interpreter, RtError};
-pub use trace::{parse_request_line, TraceParseError, TraceParseErrorKind, TrafficTrace};
+pub use trace::{
+    parse_request_content, parse_request_line, wire_content, TraceParseError, TraceParseErrorKind,
+    TrafficTrace,
+};

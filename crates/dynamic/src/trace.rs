@@ -11,7 +11,8 @@
 
 use extractocol_core::report::{AnalysisReport, TxnReport};
 use extractocol_core::sigbuild::ResponseSig;
-use extractocol_http::{Body, HttpMethod, Transaction};
+use extractocol_http::{Body, HttpMethod, Request, Transaction, Uri};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -25,7 +26,7 @@ pub struct TrafficTrace {
 impl TrafficTrace {
     /// Unique request URIs observed.
     pub fn unique_uris(&self) -> BTreeSet<String> {
-        self.transactions.iter().map(|t| t.request.uri.to_uri_string()).collect()
+        self.transactions.iter().map(|t| t.request.uri.raw.clone()).collect()
     }
 
     /// Count of unique requests per method.
@@ -33,7 +34,7 @@ impl TrafficTrace {
         self.transactions
             .iter()
             .filter(|t| t.request.method == m)
-            .map(|t| t.request.uri.to_uri_string())
+            .map(|t| &t.request.uri.raw)
             .collect::<BTreeSet<_>>()
             .len()
     }
@@ -43,8 +44,8 @@ impl TrafficTrace {
     pub fn request_keywords(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         for t in &self.transactions {
-            for (k, _) in &t.request.uri.query {
-                out.insert(k.clone());
+            for (k, _) in t.request.uri.query() {
+                out.insert(k);
             }
             match &t.request.body {
                 Body::Form(pairs) => {
@@ -188,7 +189,11 @@ fn escape_field(s: &str) -> String {
 
 /// Inverse of [`escape_field`]. Unknown or dangling escapes are errors —
 /// passing them through silently would un-anchor the round-trip property.
-fn unescape_field(s: &str) -> Result<String, TraceParseErrorKind> {
+/// A field with no `\` is borrowed as is.
+fn unescape_field(s: &str) -> Result<Cow<'_, str>, TraceParseErrorKind> {
+    if !s.contains('\\') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -207,53 +212,52 @@ fn unescape_field(s: &str) -> Result<String, TraceParseErrorKind> {
             None => return Err(TraceParseErrorKind::BadEscape("dangling \\".into())),
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
+}
+
+/// Serializes one request as a single wire-format line, without the
+/// newline:
+///
+/// ```text
+/// METHOD<TAB>URI[<TAB>MIME<TAB>BODY]
+/// ```
+///
+/// The URI and body fields are escaped ([`escape_field`]) so tabs,
+/// newlines and CRs in free-text bodies or hostile URIs cannot break the
+/// framing; binary bodies serialize as their byte length. The inverse of
+/// [`parse_request_line`].
+pub(crate) fn request_line(req: &Request) -> String {
+    let mut out = format!("{}\t{}", req.method.as_str(), escape_field(&req.uri.raw));
+    match &req.body {
+        Body::Empty => {}
+        Body::Binary(n) => out.push_str(&format!("\t{}\t{n}", req.body.mime())),
+        other => {
+            out.push_str(&format!("\t{}\t{}", other.mime(), escape_field(&other.to_bytes_string())))
+        }
+    }
+    out
 }
 
 impl TrafficTrace {
-    /// Serializes the trace's *requests* as one tab-separated line each:
-    ///
-    /// ```text
-    /// METHOD<TAB>URI[<TAB>MIME<TAB>BODY]
-    /// ```
+    /// Serializes the trace's *requests*, one [`request_line`] each.
     ///
     /// Blank lines and `#` comments are permitted in files. This is the
     /// traffic source format of `extractocol-serve classify --traffic`;
     /// responses are deliberately not serialized — classification is a
-    /// request-side workload. The URI and body fields are escaped
-    /// ([`escape_field`]) so tabs/newlines/CRs in free-text bodies or
-    /// hostile URIs cannot break the framing; binary bodies serialize as
-    /// their byte length.
+    /// request-side workload.
     pub fn to_request_text(&self) -> String {
         let mut out = String::new();
         for t in &self.transactions {
-            let req = &t.request;
-            out.push_str(req.method.as_str());
-            out.push('\t');
-            out.push_str(&escape_field(&req.uri.to_uri_string()));
-            match &req.body {
-                Body::Empty => {}
-                Body::Binary(n) => {
-                    out.push('\t');
-                    out.push_str(req.body.mime());
-                    out.push('\t');
-                    out.push_str(&n.to_string());
-                }
-                other => {
-                    out.push('\t');
-                    out.push_str(other.mime());
-                    out.push('\t');
-                    out.push_str(&escape_field(&other.to_bytes_string()));
-                }
-            }
+            out.push_str(&request_line(&t.request));
             out.push('\n');
         }
         out
     }
 
     /// Parses the [`TrafficTrace::to_request_text`] format back into a
-    /// trace. Responses come back empty (`200`, no body): the format
-    /// carries exactly what a classifier consumes.
+    /// trace, one [`parse_request_line`] per line. Responses come back
+    /// empty (`200`, no body): the format carries exactly what a
+    /// classifier consumes.
     ///
     /// The parser is **total**: malformed input yields a structured,
     /// line-anchored [`TraceParseError`] — never a panic, never a silently
@@ -262,47 +266,14 @@ impl TrafficTrace {
     pub fn parse_request_text(app: &str, text: &str) -> Result<TrafficTrace, TraceParseError> {
         let mut transactions = Vec::new();
         for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let err = |kind: TraceParseErrorKind| TraceParseError { line: lineno, kind };
-            if line.len() > MAX_LINE_BYTES {
-                return Err(err(TraceParseErrorKind::LineTooLong {
-                    len: line.len(),
-                    max: MAX_LINE_BYTES,
-                }));
+            let parsed =
+                parse_request_line(line).map_err(|e| TraceParseError { line: idx + 1, ..e })?;
+            if let Some(request) = parsed {
+                transactions.push(Transaction {
+                    request,
+                    response: extractocol_http::Response::ok(Body::Empty),
+                });
             }
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut fields = line.split('\t');
-            let method_str = fields.next().unwrap_or("");
-            let method = HttpMethod::parse(method_str)
-                .ok_or_else(|| err(TraceParseErrorKind::UnknownMethod(method_str.into())))?;
-            let uri = fields
-                .next()
-                .filter(|u| !u.is_empty())
-                .ok_or_else(|| err(TraceParseErrorKind::MissingUri))?;
-            let uri = unescape_field(uri).map_err(&err)?;
-            let body = match (fields.next(), fields.next()) {
-                (None, _) => Body::Empty,
-                (Some(mime), Some(raw)) => parse_body(mime, raw).map_err(&err)?,
-                (Some(mime), None) => {
-                    return Err(err(TraceParseErrorKind::MimeWithoutBody(mime.into())))
-                }
-            };
-            let extra = fields.count();
-            if extra > 0 {
-                return Err(err(TraceParseErrorKind::TrailingFields { extra }));
-            }
-            transactions.push(Transaction {
-                request: extractocol_http::Request {
-                    method,
-                    uri: extractocol_http::Uri::parse(&uri),
-                    headers: Default::default(),
-                    body,
-                },
-                response: extractocol_http::Response::ok(Body::Empty),
-            });
         }
         Ok(TrafficTrace { app: app.to_string(), transactions })
     }
@@ -325,20 +296,49 @@ impl TrafficTrace {
     }
 }
 
-/// Parses a single wire-format line into a request. The streaming
-/// counterpart of [`TrafficTrace::parse_request_text`] for line-at-a-time
-/// consumers (the serve daemon): same grammar, same total-parser
-/// guarantees, but no trace allocation per line. Blank lines and `#`
-/// comments yield `Ok(None)`. Errors are anchored to line 1.
-pub fn parse_request_line(
-    line: &str,
-) -> Result<Option<extractocol_http::Request>, TraceParseError> {
-    let trimmed = line.trim_end_matches(['\r', '\n']);
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
+/// The content of one wire-format line: trailing CR/LF stripped, or
+/// `None` for a blank line or a `#` comment, which carry no request.
+pub fn wire_content(line: &str) -> Option<&str> {
+    let content = line.trim_end_matches(['\r', '\n']);
+    (!content.is_empty() && !content.starts_with('#')).then_some(content)
+}
+
+/// Parses one wire-format line into a request. Blank lines and `#`
+/// comments ([`wire_content`]) yield `Ok(None)`; anything else is parsed
+/// by [`parse_request_content`]. [`TrafficTrace::parse_request_text`]
+/// loops over this, and line-at-a-time consumers call it directly.
+/// Errors are anchored to line 1.
+pub fn parse_request_line(line: &str) -> Result<Option<Request>, TraceParseError> {
+    wire_content(line).map(parse_request_content).transpose()
+}
+
+/// The grammar of one traffic line's content (a [`wire_content`] result):
+/// content longer than [`MAX_LINE_BYTES`] is rejected before anything
+/// else; then come the method, a non-empty URI, and optionally a MIME tag
+/// with its body; any further field is an error. Errors are anchored to
+/// line 1.
+pub fn parse_request_content(content: &str) -> Result<Request, TraceParseError> {
+    use TraceParseErrorKind as K;
+    let err = |kind: TraceParseErrorKind| TraceParseError { line: 1, kind };
+    if content.len() > MAX_LINE_BYTES {
+        return Err(err(K::LineTooLong { len: content.len(), max: MAX_LINE_BYTES }));
     }
-    let mut trace = TrafficTrace::parse_request_text("line", trimmed)?;
-    Ok(trace.transactions.pop().map(|t| t.request))
+    let mut fields = content.split('\t');
+    let method_str = fields.next().unwrap_or("");
+    let method =
+        HttpMethod::parse(method_str).ok_or_else(|| err(K::UnknownMethod(method_str.into())))?;
+    let uri = fields.next().filter(|u| !u.is_empty()).ok_or_else(|| err(K::MissingUri))?;
+    let uri = Uri { raw: unescape_field(uri).map_err(err)?.into_owned() };
+    let body = match (fields.next(), fields.next()) {
+        (None, _) => Body::Empty,
+        (Some(mime), Some(raw)) => parse_body(mime, raw).map_err(err)?,
+        (Some(mime), None) => return Err(err(K::MimeWithoutBody(mime.into()))),
+    };
+    let extra = fields.count();
+    if extra > 0 {
+        return Err(err(K::TrailingFields { extra }));
+    }
+    Ok(Request { method, uri, headers: Default::default(), body })
 }
 
 /// Decodes one serialized body field by its MIME tag, under the HTTP
@@ -355,7 +355,7 @@ fn parse_body(mime: &str, raw: &str) -> Result<Body, TraceParseErrorKind> {
         "application/xml" => extractocol_http::XmlElement::parse(&unescape_field(raw)?)
             .map(Body::Xml)
             .map_err(|e| K::BadBody(format!("XML: {e}"))),
-        "text/plain" => Ok(Body::Text(unescape_field(raw)?)),
+        "text/plain" => Ok(Body::Text(unescape_field(raw)?.into_owned())),
         "application/octet-stream" => match raw.parse::<usize>() {
             Ok(n) if n <= MAX_BINARY_BYTES => Ok(Body::Binary(n)),
             _ => Err(K::BadBinaryLength(raw.into())),
@@ -367,7 +367,7 @@ fn parse_body(mime: &str, raw: &str) -> Result<Body, TraceParseErrorKind> {
 /// Whether a trace transaction carries a static transaction's method and
 /// a URI its signature matches (structurally, like the serving index).
 fn uri_matches(txn: &TxnReport, t: &Transaction) -> bool {
-    t.request.method == txn.method && txn.uri.matches(&t.request.uri.to_uri_string())
+    t.request.method == txn.method && txn.uri.matches(&t.request.uri.raw)
 }
 
 /// Which trace transactions a static transaction signature matches.
@@ -410,7 +410,7 @@ pub fn validate(report: &AnalysisReport, trace: &TrafficTrace) -> Validity {
         }
     }
     for (t, _) in trace.transactions.iter().zip(hit).filter(|(_, h)| !h) {
-        v.orphan_lines.push((t.request.method, t.request.uri.to_uri_string()));
+        v.orphan_lines.push((t.request.method, t.request.uri.raw.clone()));
     }
     v
 }
@@ -498,15 +498,7 @@ pub fn request_byte_fractions(report: &AnalysisReport, trace: &TrafficTrace) -> 
     for txn in &report.transactions {
         let known: BTreeSet<String> = txn.request_keywords().into_iter().collect();
         for t in matching_transactions(txn, trace) {
-            total.add(attribute_pairs(
-                &t.request
-                    .uri
-                    .query
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>(),
-                &known,
-            ));
+            total.add(attribute_pairs(&t.request.uri.query(), &known));
             match &t.request.body {
                 Body::Form(pairs) => total.add(attribute_pairs(pairs, &known)),
                 Body::Json(j) => total.add(attribute_json(j, &known)),
@@ -566,7 +558,7 @@ pub fn response_byte_fractions(report: &AnalysisReport, trace: &TrafficTrace) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extractocol_http::{Request, Response};
+    use extractocol_http::Response;
 
     fn trace_with(uri: &str, body: Body, resp_body: Body) -> TrafficTrace {
         TrafficTrace {
@@ -574,7 +566,7 @@ mod tests {
             transactions: vec![Transaction {
                 request: Request {
                     method: HttpMethod::Post,
-                    uri: extractocol_http::Uri::parse(uri),
+                    uri: Uri::parse(uri),
                     headers: Default::default(),
                     body,
                 },
@@ -603,7 +595,7 @@ mod tests {
         let mk = |body: Body| Transaction {
             request: Request {
                 method: HttpMethod::Post,
-                uri: extractocol_http::Uri::parse("https://h/api?x=1"),
+                uri: Uri::parse("https://h/api?x=1"),
                 headers: Default::default(),
                 body,
             },
@@ -630,7 +622,7 @@ mod tests {
         assert_eq!(parsed.transactions.len(), trace.transactions.len());
         for (orig, back) in trace.transactions.iter().zip(&parsed.transactions) {
             assert_eq!(orig.request.method, back.request.method);
-            assert_eq!(orig.request.uri.to_uri_string(), back.request.uri.to_uri_string());
+            assert_eq!(orig.request.uri, back.request.uri);
             assert_eq!(orig.request.body, back.request.body);
             // Responses are intentionally not carried.
             assert_eq!(back.response.body, Body::Empty);

@@ -4,7 +4,7 @@
 //! (`extractocol-core`) and the dynamic evaluation harness
 //! (`extractocol-dynamic`):
 //!
-//! * [`uri`] — URIs with schemes, hosts, path segments, and query strings;
+//! * [`uri`] — URIs as their wire strings, with query-string pairs on demand;
 //! * [`message`] — HTTP requests, responses, and reconstructed
 //!   transactions (request/response pairs, paper §3.3);
 //! * [`json`] — a self-contained JSON value model with parser and

@@ -1,79 +1,52 @@
-//! URIs as protocol analysis sees them: scheme, authority, path, and a
-//! query string of key/value pairs.
+//! URIs as protocol analysis sees them: the exact wire string, plus the
+//! query string's key/value pairs on demand.
 //!
 //! An HTTP transaction in the paper "consists of URI, request data (header,
 //! mime-type and body), request method, and response data" (§2); URI and
-//! query-string signatures are first-class outputs. This module provides the
-//! concrete URI type that dynamic traces carry and signatures are matched
-//! against.
+//! query-string signatures are first-class outputs. Signatures are matched
+//! against the URI string as it appeared on the wire, so that string is all
+//! a [`Uri`] stores.
 
 use std::fmt;
 
-/// A parsed absolute or origin-form URI.
+/// An absolute or origin-form URI, kept as its wire string.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Uri {
     /// The exact byte string as it appeared on the wire — signatures are
     /// matched against this, so trailing separators and empty pairs are
     /// preserved rather than normalized away.
     pub raw: String,
-    /// `http` or `https` (empty for origin-form references).
-    pub scheme: String,
-    /// Host (and `:port` if present), e.g. `www.reddit.com`.
-    pub authority: String,
-    /// Path including the leading `/` (may be empty).
-    pub path: String,
-    /// Decoded query parameters in order of appearance.
-    pub query: Vec<(String, String)>,
 }
 
 impl Uri {
-    /// Parses a URI string. Accepts absolute (`https://host/path?q`) and
-    /// origin-form (`/path?q`) references; query parameters split on `&`
-    /// and `=` without percent-decoding (traces carry encoded bytes, and
-    /// signatures are built over encoded bytes too).
+    /// Wraps a URI string. Accepts absolute (`https://host/path?q`) and
+    /// origin-form (`/path?q`) references alike; nothing is normalized.
     pub fn parse(s: &str) -> Uri {
-        let (scheme, rest) = match s.find("://") {
-            Some(i) => (s[..i].to_string(), &s[i + 3..]),
-            None => (String::new(), s),
-        };
-        let (authority, path_query) = if scheme.is_empty() {
-            (String::new(), rest)
-        } else {
-            match rest.find('/') {
-                Some(i) => (rest[..i].to_string(), &rest[i..]),
-                None => match rest.find('?') {
-                    Some(i) => (rest[..i].to_string(), &rest[i..]),
-                    None => (rest.to_string(), ""),
-                },
+        Uri { raw: s.to_string() }
+    }
+
+    /// The query parameters in order of appearance: everything after the
+    /// first `?` that follows the authority (an absolute URI's authority
+    /// runs to the first `/` after `://`). Pairs split on `&` and `=`
+    /// without percent-decoding (traces carry encoded bytes, and
+    /// signatures are built over encoded bytes too).
+    pub fn query(&self) -> Vec<(String, String)> {
+        let path_query = match self.raw.find("://") {
+            // An empty scheme leaves an origin-form reference.
+            Some(0) => &self.raw[3..],
+            Some(i) => {
+                let rest = &self.raw[i + 3..];
+                &rest[rest.find('/').unwrap_or(0)..]
             }
+            None => &self.raw,
         };
-        let (path, query_str) = match path_query.find('?') {
-            Some(i) => (path_query[..i].to_string(), &path_query[i + 1..]),
-            None => (path_query.to_string(), ""),
-        };
-        let query = parse_query(query_str);
-        Uri { raw: s.to_string(), scheme, authority, path, query }
-    }
-
-    /// The wire form: exactly the string this URI was parsed from.
-    pub fn to_uri_string(&self) -> String {
-        self.raw.clone()
-    }
-
-    /// The first value for a query key.
-    pub fn query_value(&self, key: &str) -> Option<&str> {
-        self.query.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-
-    /// Path segments, without empty leading entry.
-    pub fn segments(&self) -> impl Iterator<Item = &str> {
-        self.path.split('/').filter(|s| !s.is_empty())
+        path_query.split_once('?').map_or_else(Vec::new, |(_, q)| parse_query(q))
     }
 }
 
 impl fmt::Display for Uri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_uri_string())
+        f.write_str(&self.raw)
     }
 }
 
@@ -125,27 +98,35 @@ pub fn url_encode(s: &str) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_absolute_uri() {
-        let u = Uri::parse("https://www.reddit.com/api/login?user=bob&passwd=x&api_type=json");
-        assert_eq!(u.scheme, "https");
-        assert_eq!(u.authority, "www.reddit.com");
-        assert_eq!(u.path, "/api/login");
-        assert_eq!(u.query.len(), 3);
-        assert_eq!(u.query_value("user"), Some("bob"));
-        assert_eq!(u.query_value("api_type"), Some("json"));
-        assert_eq!(u.query_value("nope"), None);
+    fn pairs(u: &str) -> Vec<(String, String)> {
+        Uri::parse(u).query()
+    }
+
+    fn owned(kv: &[(&str, &str)]) -> Vec<(String, String)> {
+        kv.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
     }
 
     #[test]
-    fn parses_origin_form_and_no_query() {
-        let u = Uri::parse("/flight/start");
-        assert_eq!(u.scheme, "");
-        assert_eq!(u.path, "/flight/start");
-        assert!(u.query.is_empty());
-        let v = Uri::parse("http://host.com");
-        assert_eq!(v.authority, "host.com");
-        assert_eq!(v.path, "");
+    fn query_of_absolute_uri() {
+        assert_eq!(
+            pairs("https://www.reddit.com/api/login?user=bob&passwd=x&api_type=json"),
+            owned(&[("user", "bob"), ("passwd", "x"), ("api_type", "json")])
+        );
+        assert!(pairs("http://host.com").is_empty());
+        assert!(pairs("/flight/start").is_empty());
+    }
+
+    #[test]
+    fn query_starts_at_the_first_question_mark_after_the_authority() {
+        // No path: the authority ends at the `?`.
+        assert_eq!(pairs("http://h?x=1"), owned(&[("x", "1")]));
+        // A `/` after the `?` ends the authority there, so the `?` is
+        // inside it and the path has no query.
+        assert!(pairs("http://h?x/y").is_empty());
+        // Origin form: the query starts at the first `?`.
+        assert_eq!(pairs("/a?k=v"), owned(&[("k", "v")]));
+        // A query value may itself hold `?` and `/`.
+        assert_eq!(pairs("https://h/a?next=/b?c"), owned(&[("next", "/b?c")]));
     }
 
     #[test]
@@ -156,15 +137,9 @@ mod tests {
             "/k/authajax?action=registerandroid&uuid=1",
             "https://host:8443/a/b?x=1",
         ] {
-            assert_eq!(Uri::parse(s).to_uri_string(), s);
+            assert_eq!(Uri::parse(s).raw, s);
+            assert_eq!(Uri::parse(s).to_string(), s);
         }
-    }
-
-    #[test]
-    fn segments_split() {
-        let u = Uri::parse("https://h/api/v1/talks/");
-        let segs: Vec<&str> = u.segments().collect();
-        assert_eq!(segs, vec!["api", "v1", "talks"]);
     }
 
     #[test]
@@ -191,7 +166,6 @@ mod tests {
         assert!(!url_encode("a b").contains('+'));
         assert_eq!(url_encode("1+1"), "1%2B1");
         // Parse keeps the encoded bytes verbatim (no percent-decoding).
-        let u = Uri::parse("http://h/search?q=new%20york");
-        assert_eq!(u.query_value("q"), Some("new%20york"));
+        assert_eq!(pairs("http://h/search?q=new%20york"), owned(&[("q", "new%20york")]));
     }
 }

@@ -17,7 +17,7 @@
 //! `V(M)` even though the edit is outside the one-hop neighborhood.
 
 use crate::key;
-use extractocol_analysis::{CallGraph, OperandSource, TaintEngine};
+use extractocol_analysis::{CallGraph, ImplicitEdge, OperandSource, TaintEngine};
 use extractocol_ir::hash::fnv1a64;
 use extractocol_ir::{MethodId, ProgramIndex};
 use std::collections::HashMap;
@@ -50,6 +50,25 @@ fn put_operand(buf: &mut Vec<u8>, o: &Option<OperandSource>) {
     }
 }
 
+/// Encodes one implicit edge: its target and any chained callback through
+/// `method` (which writes a method's identity), then its operand wiring.
+fn put_implicit(buf: &mut Vec<u8>, e: &ImplicitEdge, method: &dyn Fn(&mut Vec<u8>, MethodId)) {
+    method(buf, e.target);
+    put_operand(buf, &e.recv_from);
+    put_u64(buf, e.param_from.len() as u64);
+    for p in &e.param_from {
+        put_operand(buf, p);
+    }
+    match e.chains_to {
+        None => buf.push(0),
+        Some((chained, pidx)) => {
+            buf.push(1);
+            method(buf, chained);
+            put_u64(buf, pidx as u64);
+        }
+    }
+}
+
 /// Computes fingerprints for every concrete method (keys, content) and
 /// every in-scope method (validity). `scope` is the targeted cone, or
 /// `None` for whole-program runs. The engine supplies the per-site alias
@@ -67,6 +86,10 @@ pub fn fingerprints(
     // stands in for bodyless edge endpoints, which carry no content.
     let key_hash = |m: MethodId| keys.get(&m).map(|k| fnv1a64(k.as_bytes())).unwrap_or_default();
     let chash = |m: MethodId| content.get(&m).copied().unwrap_or_default();
+    let put_method = |buf: &mut Vec<u8>, m: MethodId| {
+        put_u64(buf, key_hash(m));
+        put_u64(buf, chash(m));
+    };
 
     let mut validity = HashMap::new();
     for m in prog.concrete_methods() {
@@ -87,28 +110,12 @@ pub fn fingerprints(
             let targets = engine.narrowed_targets(site, call);
             put_u64(&mut buf, targets.len() as u64);
             for t in targets {
-                put_u64(&mut buf, key_hash(t));
-                put_u64(&mut buf, chash(t));
+                put_method(&mut buf, t);
             }
             let implicit = graph.implicit_of(site);
             put_u64(&mut buf, implicit.len() as u64);
             for e in implicit {
-                put_u64(&mut buf, key_hash(e.target));
-                put_u64(&mut buf, chash(e.target));
-                put_operand(&mut buf, &e.recv_from);
-                put_u64(&mut buf, e.param_from.len() as u64);
-                for p in &e.param_from {
-                    put_operand(&mut buf, p);
-                }
-                match e.chains_to {
-                    None => buf.push(0),
-                    Some((chained, pidx)) => {
-                        buf.push(1);
-                        put_u64(&mut buf, key_hash(chained));
-                        put_u64(&mut buf, chash(chained));
-                        put_u64(&mut buf, pidx as u64);
-                    }
-                }
+                put_implicit(&mut buf, e, &put_method);
             }
         }
 
@@ -134,22 +141,7 @@ pub fn fingerprints(
                     continue;
                 }
                 buf.push(0xCB);
-                put_u64(&mut buf, key_hash(e.target));
-                put_u64(&mut buf, chash(e.target));
-                put_operand(&mut buf, &e.recv_from);
-                put_u64(&mut buf, e.param_from.len() as u64);
-                for p in &e.param_from {
-                    put_operand(&mut buf, p);
-                }
-                match e.chains_to {
-                    None => buf.push(0),
-                    Some((c, pidx)) => {
-                        buf.push(1);
-                        put_u64(&mut buf, key_hash(c));
-                        put_u64(&mut buf, chash(c));
-                        put_u64(&mut buf, pidx as u64);
-                    }
-                }
+                put_implicit(&mut buf, e, &put_method);
             }
         }
         validity.insert(m, fnv1a64(&buf));

@@ -345,8 +345,8 @@ pub struct Exemplar {
 
 /// Top-K slowest-request store. `offer` is designed for the classify hot
 /// path: once the store is full, a request no slower than the current
-/// floor is rejected with a single atomic load — no lock, no allocation —
-/// so steady-state traffic pays (near) nothing.
+/// floor is rejected with a single atomic load — no lock, and the
+/// exemplar is never built — so steady-state traffic pays (near) nothing.
 ///
 /// Ties keep the earlier arrival, so replaying identical traffic yields
 /// an identical exemplar set.
@@ -368,13 +368,16 @@ impl ExemplarStore {
         }
     }
 
-    /// Offers a finished request; retained only if it ranks among the
-    /// top-K slowest seen so far.
-    pub fn offer(&self, exemplar: Exemplar) {
+    /// Offers a finished request that took `latency_us`; retained only if
+    /// it ranks among the top-K slowest seen so far. `build` makes the
+    /// exemplar (given `latency_us`) and runs only when the request gets
+    /// past the floor.
+    pub fn offer(&self, latency_us: u64, build: impl FnOnce(u64) -> Exemplar) {
         // Fast reject: full store, request not slower than the floor.
-        if exemplar.latency_us <= self.floor_us.load(Ordering::Relaxed) {
+        if latency_us <= self.floor_us.load(Ordering::Relaxed) {
             return;
         }
+        let exemplar = build(latency_us);
         let mut slots = self.slots.lock().expect("exemplar store");
         slots.push(exemplar);
         // Stable sort: equal latencies keep arrival order, so the
@@ -540,12 +543,16 @@ mod tests {
         }
     }
 
+    fn offer(store: &ExemplarStore, id: &str, us: u64) {
+        store.offer(us, |us| ex(id, us));
+    }
+
     #[test]
     fn exemplar_store_keeps_top_k_slowest() {
         let store = ExemplarStore::new(3);
         assert!(store.is_empty());
         for (id, us) in [("a", 10), ("b", 50), ("c", 20), ("d", 5), ("e", 40)] {
-            store.offer(ex(id, us));
+            offer(&store, id, us);
         }
         let kept: Vec<(String, u64)> =
             store.snapshot().into_iter().map(|e| (e.trace_id, e.latency_us)).collect();
@@ -557,14 +564,32 @@ mod tests {
     #[test]
     fn exemplar_store_fast_rejects_at_floor_and_breaks_ties_first_wins() {
         let store = ExemplarStore::new(2);
-        store.offer(ex("a", 30));
-        store.offer(ex("b", 30)); // tie: both fit while filling
-        store.offer(ex("c", 30)); // tie at the floor: fast-rejected
+        offer(&store, "a", 30);
+        offer(&store, "b", 30); // tie: both fit while filling
+        offer(&store, "c", 30); // tie at the floor: fast-rejected
         let kept: Vec<String> = store.snapshot().into_iter().map(|e| e.trace_id).collect();
         assert_eq!(kept, vec!["a".to_string(), "b".to_string()]);
-        store.offer(ex("d", 31)); // strictly slower: evicts the floor tie
+        offer(&store, "d", 31); // strictly slower: evicts the floor tie
         let kept: Vec<String> = store.snapshot().into_iter().map(|e| e.trace_id).collect();
         assert_eq!(kept, vec!["d".to_string(), "a".to_string()]);
+    }
+
+    #[test]
+    fn exemplar_store_never_builds_a_below_floor_exemplar() {
+        let store = ExemplarStore::new(2);
+        offer(&store, "a", 30);
+        offer(&store, "b", 40);
+        for us in [0, 29, 30] {
+            store.offer(us, |_| panic!("built an exemplar at {us} us, floor 30 us"));
+        }
+        let mut built = 0;
+        store.offer(31, |us| {
+            built += 1;
+            ex("c", us)
+        });
+        assert_eq!(built, 1);
+        let kept: Vec<String> = store.snapshot().into_iter().map(|e| e.trace_id).collect();
+        assert_eq!(kept, vec!["b".to_string(), "c".to_string()]);
     }
 
     #[test]
@@ -577,7 +602,7 @@ mod tests {
         let mut e = ex("00000000deadbeef", 7);
         e.spans = t.drain();
         e.detail = "sig:42".to_string();
-        store.offer(e);
+        store.offer(7, |_| e);
         let text = store.render();
         assert!(text.contains("trace_id=00000000deadbeef latency_us=7 verdict=match"), "{text}");
         assert!(text.contains("detail=sig:42 spans=1"), "{text}");

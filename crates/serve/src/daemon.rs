@@ -61,7 +61,7 @@
 
 use crate::archive::{read_archive, write_archive, ArchiveError};
 use crate::index::{SignatureIndex, Verdict};
-use extractocol_dynamic::parse_request_line;
+use extractocol_dynamic::{parse_request_content, wire_content};
 use extractocol_ir::hash::fnv1a64;
 use extractocol_obs::metrics::LATENCY_US_BUCKETS;
 use extractocol_obs::{
@@ -374,10 +374,7 @@ impl Daemon {
     /// sequence number, so control verbs don't perturb the deterministic
     /// trace-id series and trace ids stay dense and replay-stable.
     fn process_line_ctx(&self, line: &str, conn_id: u64, seq: &AtomicU64) -> Reply {
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            return Reply::Empty;
-        }
+        let Some(trimmed) = wire_content(line) else { return Reply::Empty };
         let verb = trimmed.split('\t').next().unwrap_or("");
         match verb {
             "PING" => Reply::Line("pong".into()),
@@ -466,12 +463,8 @@ impl Daemon {
         self.inflight.fetch_add(1, Ordering::Relaxed);
         let mut span = self.trace.span_in("daemon", "daemon_request");
         span.attr("trace_id", trace_id);
-        let req = match parse_request_line(line) {
-            Ok(Some(req)) => req,
-            Ok(None) => {
-                self.inflight.fetch_sub(1, Ordering::Relaxed);
-                return "error\tempty request line".into();
-            }
+        let req = match parse_request_content(line) {
+            Ok(req) => req,
             Err(e) => {
                 self.metrics.parse_errors.inc();
                 span.attr("outcome", "parse_error");
@@ -491,21 +484,17 @@ impl Daemon {
         self.metrics.requests.inc();
         let latency_us = t0.elapsed().as_secs_f64() * 1e6;
         self.metrics.request_latency.observe_with_exemplar(latency_us, trace_id);
-        let (reply, verdict_name, detail) = match verdict {
+        let (reply, verdict_name) = match verdict {
             Verdict::Match(id) => {
                 self.metrics.verdict_match.inc();
                 span.attr("outcome", "match");
                 let sig = index.sig(id);
-                (
-                    format!("match\t{}\t{}\t{}", sig.app, sig.txn_id, sig.dp_class),
-                    "match",
-                    format!("{}:{}", sig.app, sig.txn_id),
-                )
+                (format!("match\t{}\t{}\t{}", sig.app, sig.txn_id, sig.dp_class), "match")
             }
             Verdict::Unmatched => {
                 self.metrics.verdict_unmatched.inc();
                 span.attr("outcome", "unmatched");
-                ("unmatched".to_string(), "unmatched", String::new())
+                ("unmatched".to_string(), "unmatched")
             }
         };
         self.events
@@ -515,13 +504,20 @@ impl Daemon {
             .field("latency_us", latency_us.round() as u64)
             .emit();
         // The synthetic span record mirrors the request span so a SLOW
-        // dump is self-contained even when tracing is off.
+        // dump is self-contained even when tracing is off. It is built
+        // only for a request slow enough to be retained.
         let latency_ns = (latency_us * 1e3).round() as u64;
-        self.exemplars.offer(Exemplar {
+        self.exemplars.offer(latency_us.round() as u64, |latency_us| Exemplar {
             trace_id: trace_id.to_string(),
-            latency_us: latency_us.round() as u64,
+            latency_us,
             verdict: verdict_name.to_string(),
-            detail,
+            detail: match verdict {
+                Verdict::Match(id) => {
+                    let sig = index.sig(id);
+                    format!("{}:{}", sig.app, sig.txn_id)
+                }
+                Verdict::Unmatched => String::new(),
+            },
             spans: vec![SpanRecord {
                 name: "daemon_request".into(),
                 cat: "daemon".into(),
@@ -769,10 +765,7 @@ pub fn send_lines(addr: &str, input: &str) -> io::Result<Vec<String>> {
     let mut writer = BufWriter::new(stream);
     let mut responses = Vec::new();
     for line in input.lines() {
-        let trimmed = line.trim_end_matches('\r');
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
+        let Some(trimmed) = wire_content(line) else { continue };
         writeln!(writer, "{trimmed}")?;
         writer.flush()?;
         let mut resp = String::new();

@@ -97,7 +97,7 @@ fn interpreter_state_carries_across_triggers() {
     let vote = trace
         .transactions
         .iter()
-        .find(|t| t.request.uri.to_uri_string().contains("/api/vote"))
+        .find(|t| t.request.uri.raw.contains("/api/vote"))
         .expect("vote request in trace");
     match &vote.request.body {
         Body::Form(pairs) => {
